@@ -103,19 +103,6 @@ impl Cluster {
             .filtered(|n| self.alive.get(n.index()).copied().unwrap_or(false))
     }
 
-    /// Bulk assignment: the live replica group of every key, in input
-    /// order. Each key is hashed exactly once, so sweep-style consumers
-    /// can fetch the whole rank-to-group table in one call instead of
-    /// re-partitioning per grid point. On a fully-alive cluster every
-    /// returned group is the complete `d`-member group, in partition
-    /// order (the order replica selectors iterate for tie-breaking).
-    pub fn assign_ranks<I>(&self, keys: I) -> Vec<ReplicaGroup>
-    where
-        I: IntoIterator<Item = KeyId>,
-    {
-        keys.into_iter().map(|k| self.live_replicas(k)).collect()
-    }
-
     /// Routes one query of unit cost; returns the serving node.
     ///
     /// # Errors
@@ -510,26 +497,27 @@ mod tests {
     }
 
     #[test]
-    fn assign_ranks_matches_per_key_groups() {
+    fn bulk_replica_groups_match_per_key_groups() {
         let c = small_cluster(Box::new(LeastLoadedSelector::new()));
+        let p = HashPartitioner::new(10, 3, 42).unwrap();
         let keys: Vec<KeyId> = (0..40).map(KeyId::new).collect();
-        let bulk = c.assign_ranks(keys.iter().copied());
-        assert_eq!(bulk.len(), keys.len());
-        for (key, group) in keys.iter().zip(&bulk) {
-            assert_eq!(group.as_slice(), c.replica_group(*key).as_slice());
-            assert_eq!(group.len(), 3);
+        let mut bulk = Vec::new();
+        p.replica_groups(&keys, &mut bulk);
+        assert_eq!(bulk.len(), keys.len() * 3);
+        for (key, group) in keys.iter().zip(bulk.chunks_exact(3)) {
+            assert_eq!(group, c.replica_group(*key).as_slice());
         }
     }
 
     #[test]
-    fn assign_ranks_drops_dead_members() {
+    fn live_replicas_drops_dead_members() {
         let mut c = small_cluster(Box::new(LeastLoadedSelector::new()));
         let key = KeyId::new(5);
         let victim = c.replica_group(key).as_slice()[1];
         c.fail_node(victim).unwrap();
-        let bulk = c.assign_ranks([key]);
-        assert_eq!(bulk[0].len(), 2);
-        assert!(!bulk[0].contains(victim));
+        let live = c.live_replicas(key);
+        assert_eq!(live.len(), 2);
+        assert!(!live.contains(victim));
     }
 
     #[test]

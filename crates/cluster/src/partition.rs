@@ -23,7 +23,7 @@ use crate::ids::{KeyId, NodeId};
 use crate::multiprobe::MultiProbePartitioner;
 use crate::topology::Topology;
 use crate::Result;
-use scp_workload::rng::mix;
+use scp_workload::rng::{mix, MixPrefix, LANES};
 use std::fmt;
 
 /// Maximum supported replication factor.
@@ -174,6 +174,15 @@ pub trait Partitioner: Send + Sync + fmt::Debug {
     /// [`Partitioner::replication_factor`] distinct nodes.
     fn replica_group(&self, key: KeyId) -> ReplicaGroup;
 
+    /// Bulk lookup: appends the replica group of every key in `keys`, in
+    /// order, to `out` — [`Partitioner::replication_factor`] node ids per
+    /// key, each group exactly as [`Partitioner::replica_group`] returns
+    /// it. The default looks keys up one at a time; a scheme overrides it
+    /// when it can keep several lookups in flight.
+    fn replica_groups(&self, keys: &[KeyId], out: &mut Vec<NodeId>) {
+        groups_per_key(self, keys, out);
+    }
+
     /// Number of back-end nodes `n` (topology members, alive or not).
     fn node_count(&self) -> usize;
 
@@ -197,6 +206,13 @@ pub trait Partitioner: Send + Sync + fmt::Debug {
     /// Returns an error if the topology cannot support the configured
     /// replication factor. On error the partitioner is unchanged.
     fn rebuild(&mut self, topology: &Topology) -> Result<()>;
+}
+
+/// Appends each key's replica group to `out`, one lookup at a time.
+fn groups_per_key<P: Partitioner + ?Sized>(p: &P, keys: &[KeyId], out: &mut Vec<NodeId>) {
+    for &key in keys {
+        out.extend_from_slice(p.replica_group(key).as_slice());
+    }
 }
 
 pub(crate) fn validate_n_d(n: usize, d: usize) -> Result<()> {
@@ -252,7 +268,9 @@ pub struct HashPartitioner {
     // Sorted member ids; placement hashes into positions of this list.
     members: Vec<NodeId>,
     d: usize,
-    seed: u64,
+    // `mix` state after the seed: attempt `a` of key `k` hashes
+    // `mix(&[seed, k, a])`, and the seed is absorbed once here.
+    seeded: MixPrefix,
 }
 
 impl HashPartitioner {
@@ -266,7 +284,7 @@ impl HashPartitioner {
         Ok(Self {
             members: (0..n).map(NodeId::from_index).collect(),
             d,
-            seed,
+            seeded: MixPrefix::new(&[seed]),
         })
     }
 
@@ -280,19 +298,76 @@ impl HashPartitioner {
         Ok(Self {
             members: member_ids(topology),
             d,
-            seed,
+            seeded: MixPrefix::new(&[seed]),
         })
     }
+
+    /// Member position hit by `attempt` of the key whose hash state is
+    /// `keyed` (the seed and the key already absorbed).
+    #[inline]
+    fn slot(&self, keyed: MixPrefix, attempt: u64) -> u32 {
+        hash_to_index(keyed.mix(&[attempt]), self.members.len())
+    }
+
+    /// The bulk lookup for `D == self.d`: hashes attempts `0..D`
+    /// attempt-major across [`LANES`] keys at a time, so the lanes' hash
+    /// chains overlap. A key whose first `D` attempts hit distinct members
+    /// has exactly those members as its group, in attempt order; the rare
+    /// key with a collision among them (about `D²/2n` of keys) reruns the
+    /// scalar attempt loop.
+    fn groups_in_lanes<const D: usize>(&self, keys: &[KeyId], out: &mut Vec<NodeId>) {
+        let mut chunks = keys.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            let mut keyed = [self.seeded; LANES];
+            for (state, key) in keyed.iter_mut().zip(chunk) {
+                *state = state.then(key.value());
+            }
+            let mut slots = [[0u32; D]; LANES];
+            for attempt in 0..D {
+                for (lane, state) in slots.iter_mut().zip(&keyed) {
+                    if let Some(slot) = lane.get_mut(attempt) {
+                        *slot = self.slot(*state, attempt as u64);
+                    }
+                }
+            }
+            let mut groups = [[NodeId::new(0); D]; LANES];
+            for ((lane, &key), group) in slots.iter().zip(chunk).zip(groups.iter_mut()) {
+                if all_distinct(lane) {
+                    for (node, &slot) in group.iter_mut().zip(lane) {
+                        *node = self.members.get(slot as usize).copied().unwrap_or_default();
+                    }
+                } else {
+                    for (node, &member) in group.iter_mut().zip(self.replica_group(key).as_slice())
+                    {
+                        *node = member;
+                    }
+                }
+            }
+            out.extend_from_slice(groups.as_flattened());
+        }
+        groups_per_key(self, chunks.remainder(), out);
+    }
+}
+
+/// Whether no slot repeats (`d` is tiny, so pairwise beats a set).
+fn all_distinct(slots: &[u32]) -> bool {
+    let mut rest = slots;
+    while let Some((first, tail)) = rest.split_first() {
+        if tail.contains(first) {
+            return false;
+        }
+        rest = tail;
+    }
+    true
 }
 
 impl Partitioner for HashPartitioner {
     fn replica_group(&self, key: KeyId) -> ReplicaGroup {
+        let keyed = self.seeded.then(key.value());
         let mut group = ReplicaGroup::new();
         let mut attempt = 0u64;
         while group.len() < self.d {
-            let h = mix(&[self.seed, key.value(), attempt]);
-            let slot = hash_to_index(h, self.members.len()) as usize;
-            if let Some(&node) = self.members.get(slot) {
+            if let Some(&node) = self.members.get(self.slot(keyed, attempt) as usize) {
                 if !group.contains(node) {
                     group.push_unchecked(node);
                 }
@@ -300,6 +375,20 @@ impl Partitioner for HashPartitioner {
             attempt += 1;
         }
         group
+    }
+
+    /// Dispatches to [`HashPartitioner::groups_in_lanes`] with `d` as a
+    /// constant for the replication factors real clusters use (2–5, and
+    /// 1); larger `d` looks keys up one at a time.
+    fn replica_groups(&self, keys: &[KeyId], out: &mut Vec<NodeId>) {
+        match self.d {
+            1 => self.groups_in_lanes::<1>(keys, out),
+            2 => self.groups_in_lanes::<2>(keys, out),
+            3 => self.groups_in_lanes::<3>(keys, out),
+            4 => self.groups_in_lanes::<4>(keys, out),
+            5 => self.groups_in_lanes::<5>(keys, out),
+            _ => groups_per_key(self, keys, out),
+        }
     }
 
     fn node_count(&self) -> usize {
@@ -1183,6 +1272,55 @@ mod tests {
                 "case {case}: duplicate nodes (n={n} seed={seed})"
             );
             assert!(v.iter().all(|&i| i < n), "case {case}: node out of range");
+        }
+    }
+
+    #[test]
+    fn prop_bulk_groups_equal_per_key_groups() {
+        // Collision-heavy shapes (d close to n) force the hash kernel's
+        // scalar fallback; key counts off the lane width run the remainder.
+        let mut gen = Xoshiro256StarStar::seed_from_u64(0xB01C);
+        let mut sparse = Topology::with_nodes(12).unwrap();
+        sparse.leave(NodeId::new(4)).unwrap();
+        let shapes = [
+            (3, 3),
+            (4, 3),
+            (7, 1),
+            (9, 2),
+            (10, 4),
+            (40, 3),
+            (60, 5),
+            (30, 7),
+            (1000, 3),
+        ];
+        for case in 0..40 {
+            let (n, d) = shapes[case % shapes.len()];
+            let keys: Vec<KeyId> = (0..next_below(&mut gen, 70))
+                .map(|_| KeyId::new(next_below(&mut gen, 5_000)))
+                .collect();
+            let seed = gen.next_u64();
+            for kind in PartitionerKind::ALL {
+                let topology = if case % 5 == 4 {
+                    sparse.clone()
+                } else {
+                    Topology::with_nodes(n).unwrap()
+                };
+                let p = PartitionerSpec::new(kind)
+                    .topology(topology)
+                    .replication(d)
+                    .seed(seed)
+                    .items(5_000)
+                    .build()
+                    .unwrap();
+                let want: Vec<NodeId> = keys
+                    .iter()
+                    .flat_map(|&k| p.replica_group(k).as_slice().to_vec())
+                    .collect();
+                let mut got = vec![NodeId::new(77)];
+                p.replica_groups(&keys, &mut got);
+                assert_eq!(got.first(), Some(&NodeId::new(77)), "must append");
+                assert_eq!(&got[1..], want, "case {case}: {kind:?} n={n} d={d}");
+            }
         }
     }
 

@@ -56,10 +56,12 @@
 //!
 //! # Memory
 //!
-//! A [`RunSweep`] stores one `u32` node index per (rank, replica):
-//! `x_max * d * 4` bytes — 12 MB for the paper's full scale
+//! A [`RunSweep`] stores one `u16` node id per (rank, replica):
+//! `x_max * d * 2` bytes — 6 MB for the paper's full scale
 //! (`m = 10^6`, `d = 3`). Holding all runs of a repetition batch alive at
-//! once (as the critical-size search does) costs `runs` times that.
+//! once (as the critical-size search does) costs `runs` times that: 60 MB
+//! for its 10 held runs at paper scale. `u16` ids cap a sweep at
+//! [`MAX_SWEEP_NODES`] nodes.
 
 use crate::config::{CacheKind, SelectorKind, SimConfig};
 use crate::error::SimError;
@@ -70,10 +72,16 @@ use crate::runner::{
 };
 use crate::Result;
 use scp_cluster::load::LoadSnapshot;
-use scp_cluster::{Cluster, KeyId};
+use scp_cluster::{KeyId, NodeId};
 use scp_workload::permute::KeyMapping;
 use scp_workload::rng::mix;
 use scp_workload::AccessPattern;
+
+/// Largest cluster a [`RunSweep`] can hold: node ids are stored as `u16`.
+pub const MAX_SWEEP_NODES: usize = 1 << 16;
+
+/// Ranks mapped and partitioned per bulk call while building a sweep.
+const BUILD_BLOCK: usize = 256;
 
 /// One run's precomputed routing structure: every rank's replica group,
 /// fetched once, plus scratch buffers reused across grid points.
@@ -90,7 +98,7 @@ pub struct RunSweep {
     sticky: bool,
     /// Flattened `x_max * d` node indices: rank `r`'s group occupies
     /// `groups[r*d .. (r+1)*d]`, in partition order.
-    groups: Vec<u32>,
+    groups: Vec<u16>,
     /// Scratch: per-node addend counts for the current walk.
     counts: Vec<u32>,
     /// Scratch: reconstructed per-node loads.
@@ -103,12 +111,13 @@ impl RunSweep {
     /// Precomputes the routing structure for one run: builds the
     /// configured partitioner and key mapping from `cfg.seed` (the same
     /// derivations as the per-point engine) and fetches the replica
-    /// groups of ranks `0..x_max` in one bulk call.
+    /// groups of ranks `0..x_max` in bulk calls.
     ///
     /// # Errors
     ///
     /// Returns an error if the config is invalid, the pattern is not
-    /// equal-rate, or `x_max` is outside `[1, items]`.
+    /// equal-rate, `x_max` is outside `[1, items]`, or the cluster has
+    /// more than [`MAX_SWEEP_NODES`] nodes.
     pub fn new(cfg: &SimConfig, x_max: u64) -> Result<Self> {
         cfg.validate()?;
         if !matches!(
@@ -136,28 +145,49 @@ impl RunSweep {
                 false
             }
         };
-        let cluster = Cluster::new(cfg.build_partitioner()?, cfg.build_selector());
+        // The cluster is fully alive, so every live group is the whole
+        // partition group and the selector only acts during the walk.
+        let partitioner = cfg.build_partitioner()?;
+        if partitioner.index_bound() > MAX_SWEEP_NODES {
+            return Err(SimError::InvalidConfig {
+                field: "nodes",
+                reason: format!(
+                    "sweep engine stores u16 node ids and supports at most \
+                     {MAX_SWEEP_NODES} nodes, got {}",
+                    partitioner.index_bound()
+                ),
+            });
+        }
         let mapping = KeyMapping::scattered(cfg.items, mix(&[cfg.seed, 3]))?;
         let d = cfg.replication;
         let mut groups = Vec::with_capacity(x_max as usize * d);
-        // Fetch each group straight into the flat buffer (the same
-        // resolution `Cluster::assign_ranks` performs in bulk, minus the
-        // intermediate `Vec<ReplicaGroup>` — at paper scale that vector
-        // alone is several MB per run).
-        for rank in 0..x_max {
-            let group = cluster.live_replicas(KeyId::new(mapping.apply(rank)));
-            if group.len() != d {
+        let mut keys = [0u64; BUILD_BLOCK];
+        let mut key_ids = Vec::with_capacity(BUILD_BLOCK);
+        let mut nodes: Vec<NodeId> = Vec::with_capacity(BUILD_BLOCK * d);
+        for start in (0..x_max).step_by(BUILD_BLOCK) {
+            let len = (x_max - start).min(BUILD_BLOCK as u64) as usize;
+            let block = keys.get_mut(..len).unwrap_or_default();
+            mapping.apply_block(start, block)?;
+            key_ids.clear();
+            key_ids.extend(block.iter().map(|&k| KeyId::new(k)));
+            nodes.clear();
+            partitioner.replica_groups(&key_ids, &mut nodes);
+            if nodes.len() != len * d {
                 return Err(SimError::InvalidConfig {
                     field: "replication",
                     reason: format!(
-                        "partitioner returned a {}-member group, want {d}",
-                        group.len()
+                        "partitioner returned {} nodes for {len} keys, want {d} per key",
+                        nodes.len()
                     ),
                 });
             }
-            for &node in group.as_slice() {
-                groups.push(node.value());
-            }
+            // Every id is below the index bound checked above, so none
+            // saturates.
+            groups.extend(
+                nodes
+                    .iter()
+                    .map(|node| u16::try_from(node.value()).unwrap_or(u16::MAX)),
+            );
         }
         Ok(Self {
             replication: d,
@@ -320,9 +350,10 @@ impl RunSweep {
                     let mut best = usize::MAX;
                     let mut best_count = u32::MAX;
                     for &node in group {
-                        let count = counts.get(node as usize).copied().unwrap_or(u32::MAX);
+                        let node = usize::from(node);
+                        let count = counts.get(node).copied().unwrap_or(u32::MAX);
                         if count < best_count {
-                            best = node as usize;
+                            best = node;
                             best_count = count;
                         }
                     }
@@ -332,7 +363,7 @@ impl RunSweep {
                     }
                 } else {
                     for &node in group {
-                        if let Some(slot) = counts.get_mut(node as usize) {
+                        if let Some(slot) = counts.get_mut(usize::from(node)) {
                             *slot += 1;
                             max_count = max_count.max(*slot);
                         }
@@ -723,6 +754,29 @@ mod tests {
                 field: "pattern",
                 ..
             })
+        ));
+    }
+
+    #[test]
+    fn node_count_is_capped_by_u16_ids() {
+        let at_cap = base(SelectorKind::LeastLoaded)
+            .to_builder()
+            .nodes(MAX_SWEEP_NODES)
+            .build()
+            .unwrap();
+        // The largest id still round-trips through the u16 table.
+        let mut sweep = RunSweep::new(&at_cap, 300).unwrap();
+        let report = sweep.evaluate(10, &[300]).unwrap().remove(0);
+        assert_eq!(report, per_point(&at_cap, 10, 300));
+
+        let over = at_cap
+            .to_builder()
+            .nodes(MAX_SWEEP_NODES + 1)
+            .build()
+            .unwrap();
+        assert!(matches!(
+            RunSweep::new(&over, 300),
+            Err(SimError::InvalidConfig { field: "nodes", .. })
         ));
     }
 

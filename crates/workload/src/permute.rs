@@ -9,7 +9,7 @@
 //! `[0, m)`.
 
 use crate::error::WorkloadError;
-use crate::rng::mix;
+use crate::rng::{mix, LANES};
 use crate::Result;
 
 const ROUNDS: usize = 4;
@@ -82,6 +82,35 @@ impl FeistelPermutation {
         (left << self.half_bits) | right
     }
 
+    /// [`Self::encrypt_once`] over [`LANES`] values at a time, rounds as
+    /// the outer loop so the lanes' independent round functions overlap.
+    fn encrypt_lanes(&self, values: &mut [u64; LANES]) {
+        let mut left = values.map(|v| (v >> self.half_bits) & self.half_mask);
+        let mut right = values.map(|v| v & self.half_mask);
+        for &rk in &self.round_keys {
+            for (l, r) in left.iter_mut().zip(right.iter_mut()) {
+                let new_right = *l ^ self.round_fn(*r, rk);
+                *l = *r;
+                *r = new_right;
+            }
+        }
+        for (v, (l, r)) in values.iter_mut().zip(left.iter().zip(&right)) {
+            *v = (l << self.half_bits) | r;
+        }
+    }
+
+    /// Finishes a cycle-walk from a first encryption `v`: the Feistel
+    /// network permutes `[0, 2^(2*half_bits))`, so iterate until the walk
+    /// lands back inside `[0, m)`. Terminates because the walk follows a
+    /// cycle of a permutation of the super-domain and the start rank lies
+    /// in `[0, m)` on that cycle.
+    fn walk_from(&self, mut v: u64) -> u64 {
+        while v >= self.m {
+            v = self.encrypt_once(v);
+        }
+        v
+    }
+
     fn decrypt_once(&self, value: u64) -> u64 {
         let mut left = (value >> self.half_bits) & self.half_mask;
         let mut right = value & self.half_mask;
@@ -103,15 +132,56 @@ impl FeistelPermutation {
         if self.m == 1 {
             return 0;
         }
-        // Cycle-walk: the Feistel network permutes [0, 2^(2*half_bits));
-        // iterate until we land back inside [0, m). Terminates because the
-        // walk follows a cycle of a permutation that maps the super-domain
-        // onto itself and m is on that cycle's image.
-        let mut v = self.encrypt_once(rank);
-        while v >= self.m {
-            v = self.encrypt_once(v);
+        self.walk_from(self.encrypt_once(rank))
+    }
+
+    /// Maps the consecutive ranks `start..start + out.len()` into `out`,
+    /// bit-identical to [`FeistelPermutation::apply`] on each rank.
+    ///
+    /// Encrypts [`LANES`] ranks at a time with the rounds as the outer
+    /// loop, so their hash chains run side by side instead of one after
+    /// another; a lane whose first encryption leaves `[0, m)` finishes its
+    /// cycle-walk alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the block reaches past the domain
+    /// (`start + out.len() > m`); `out` is then left untouched.
+    pub fn apply_block(&self, start: u64, out: &mut [u64]) -> Result<()> {
+        let end = u64::try_from(out.len())
+            .ok()
+            .and_then(|len| start.checked_add(len));
+        if end.is_none_or(|end| end > self.m) {
+            return Err(WorkloadError::InvalidParameter {
+                name: "rank",
+                reason: format!(
+                    "block of {} ranks from {start} leaves the domain [0, {})",
+                    out.len(),
+                    self.m
+                ),
+            });
         }
-        v
+        if self.m == 1 {
+            out.fill(0);
+            return Ok(());
+        }
+        let mut chunks = out.chunks_exact_mut(LANES);
+        let mut rank = start;
+        for chunk in &mut chunks {
+            let mut lanes = [0u64; LANES];
+            for (lane, value) in lanes.iter_mut().zip(rank..) {
+                *lane = value;
+            }
+            self.encrypt_lanes(&mut lanes);
+            for (slot, first) in chunk.iter_mut().zip(lanes) {
+                *slot = self.walk_from(first);
+            }
+            rank += LANES as u64;
+        }
+        for (slot, value) in chunks.into_remainder().iter_mut().zip(rank..) {
+            *slot = self.walk_from(self.encrypt_once(value));
+        }
+        Ok(())
     }
 
     /// Inverse mapping: key id back to rank.
@@ -168,6 +238,26 @@ impl KeyMapping {
         match self {
             KeyMapping::Identity => rank,
             KeyMapping::Feistel(p) => p.apply(rank),
+        }
+    }
+
+    /// Maps the consecutive ranks `start..start + out.len()` into `out`,
+    /// bit-identical to [`KeyMapping::apply`] on each rank (see
+    /// [`FeistelPermutation::apply_block`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a scattered mapping's block reaches past its
+    /// domain.
+    pub fn apply_block(&self, start: u64, out: &mut [u64]) -> Result<()> {
+        match self {
+            KeyMapping::Identity => {
+                for (offset, slot) in (0u64..).zip(out.iter_mut()) {
+                    *slot = start.wrapping_add(offset);
+                }
+                Ok(())
+            }
+            KeyMapping::Feistel(p) => p.apply_block(start, out),
         }
     }
 }
@@ -237,6 +327,53 @@ mod tests {
     #[test]
     fn key_mapping_identity() {
         assert_eq!(KeyMapping::Identity.apply(42), 42);
+        let mut out = [0u64; 3];
+        KeyMapping::Identity.apply_block(40, &mut out).unwrap();
+        assert_eq!(out, [40, 41, 42]);
+    }
+
+    #[test]
+    fn apply_block_rejects_blocks_past_the_domain() {
+        let p = FeistelPermutation::new(20, 1).unwrap();
+        let mut out = [7u64; 5];
+        assert!(p.apply_block(16, &mut out).is_err());
+        assert!(p.apply_block(u64::MAX, &mut out).is_err());
+        assert_eq!(out, [7; 5], "a rejected block must not write");
+        assert!(p.apply_block(15, &mut out).is_ok());
+        assert!(p.apply_block(20, &mut []).is_ok());
+    }
+
+    #[test]
+    fn prop_apply_block_equals_apply() {
+        // Block lengths and offsets straddle the lane width so both the
+        // interleaved chunks and the scalar remainder run.
+        let mut gen = Xoshiro256StarStar::seed_from_u64(0xB10C);
+        let domains = [1u64, 2, 3, 5, 17, 1000, 1 << 20, (1 << 20) + 1, 1_000_000];
+        for &m in &domains {
+            for _ in 0..24 {
+                let seed = gen.next_u64();
+                let map = KeyMapping::scattered(m, seed).unwrap();
+                let KeyMapping::Feistel(p) = &map else {
+                    unreachable!("scattered mappings are Feistel")
+                };
+                let len = next_below(&mut gen, (3 * LANES as u64 + 2).min(m + 1));
+                let start = next_below(&mut gen, m - len + 1);
+                let mut block = vec![0u64; len as usize];
+                map.apply_block(start, &mut block).unwrap();
+                let want: Vec<u64> = (start..start + len).map(|r| p.apply(r)).collect();
+                assert_eq!(block, want, "m={m} seed={seed} start={start} len={len}");
+            }
+            if m <= 1000 {
+                // The whole domain in one block.
+                let p = FeistelPermutation::new(m, m).unwrap();
+                let mut block = vec![0u64; m as usize];
+                p.apply_block(0, &mut block).unwrap();
+                assert!(
+                    block.iter().zip(0..).all(|(&k, r)| k == p.apply(r)),
+                    "m={m}"
+                );
+            }
+        }
     }
 
     #[test]

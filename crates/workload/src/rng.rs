@@ -50,18 +50,64 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Lane width of the interleaved bulk kernels
+/// ([`FeistelPermutation::apply_block`], the hash partitioner's bulk
+/// lookup): that many independent hash chains are kept in flight so the
+/// core overlaps their multiply latencies instead of waiting on one.
+///
+/// [`FeistelPermutation::apply_block`]: crate::permute::FeistelPermutation::apply_block
+pub const LANES: usize = 8;
+
+/// Initial [`mix`] state: pi fractional bits.
+const MIX_INIT: u64 = 0x243F_6A88_85A3_08D3;
+
 /// Mixes several words into one well-distributed `u64`.
 ///
 /// This is the project-wide "hash of (seed, stream, index)" used to derive
 /// independent sub-seeds for parallel runs.
 #[inline]
 pub fn mix(words: &[u64]) -> u64 {
-    let mut state = 0x243F_6A88_85A3_08D3; // pi fractional bits
-    for &w in words {
-        state ^= w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        state = splitmix64(&mut state);
+    MixPrefix(MIX_INIT).mix(words)
+}
+
+/// The state of [`mix`] after a fixed run of leading words.
+///
+/// Hashes that share leading words — `mix(&[seed, key, attempt])` over
+/// many attempts, or over many keys — absorb the shared prefix once:
+/// `MixPrefix::new(&[a, b]).mix(&[c])` equals `mix(&[a, b, c])` bit for
+/// bit.
+///
+/// ```
+/// use scp_workload::rng::{mix, MixPrefix};
+///
+/// let seeded = MixPrefix::new(&[7]);
+/// assert_eq!(seeded.mix(&[42, 0]), mix(&[7, 42, 0]));
+/// assert_eq!(seeded.then(42).mix(&[1]), mix(&[7, 42, 1]));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MixPrefix(u64);
+
+impl MixPrefix {
+    /// The state after absorbing `prefix`.
+    #[inline]
+    pub fn new(prefix: &[u64]) -> Self {
+        prefix
+            .iter()
+            .fold(Self(MIX_INIT), |state, &w| state.then(w))
     }
-    state
+
+    /// The state after also absorbing `word`.
+    #[inline]
+    pub fn then(self, word: u64) -> Self {
+        let mut state = self.0 ^ word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Self(splitmix64(&mut state))
+    }
+
+    /// Finishes the hash with the trailing `words`.
+    #[inline]
+    pub fn mix(self, words: &[u64]) -> u64 {
+        words.iter().fold(self, |state, &w| state.then(w)).0
+    }
 }
 
 /// xoshiro256** — a small, fast, high-quality PRNG.
@@ -188,6 +234,26 @@ mod tests {
         assert_ne!(base, mix(&[1, 2, 4]));
         assert_ne!(base, mix(&[0, 2, 3]));
         assert_ne!(base, mix(&[1, 2]));
+    }
+
+    #[test]
+    fn prop_prefix_mix_equals_mix() {
+        let mut gen = Xoshiro256StarStar::seed_from_u64(0x9F1C);
+        for case in 0..500 {
+            let len = next_below(&mut gen, 6) as usize;
+            let words: Vec<u64> = (0..len).map(|_| gen.next_u64()).collect();
+            let want = mix(&words);
+            for split in 0..=len {
+                let (head, tail) = words.split_at(split);
+                assert_eq!(
+                    MixPrefix::new(head).mix(tail),
+                    want,
+                    "case {case}: split {split} of {words:?}"
+                );
+                let stepped = tail.iter().fold(MixPrefix::new(head), |p, &w| p.then(w));
+                assert_eq!(stepped.mix(&[]), want, "case {case}: stepped split {split}");
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,20 @@ fn base(
     cache: usize,
     seed: u64,
 ) -> SimConfig {
+    with_items(selector, partitioner, cache, seed, 3_000)
+}
+
+fn with_items(
+    selector: SelectorKind,
+    partitioner: PartitionerKind,
+    cache: usize,
+    seed: u64,
+    items: u64,
+) -> SimConfig {
     SimConfig::builder()
         .nodes(60)
         .replication(3)
-        .items(3_000)
+        .items(items)
         .rate(1e4)
         .cache_capacity(cache)
         .partitioner(partitioner)
@@ -53,6 +63,8 @@ fn sweep_is_bit_identical_across_selectors_partitioners_and_seeds() {
         PartitionerKind::Hash,
         PartitionerKind::Rendezvous,
         PartitionerKind::Ring,
+        PartitionerKind::Range,
+        PartitionerKind::MultiProbe,
     ];
     for &selector in &selectors {
         for &partitioner in &partitioners {
@@ -76,6 +88,27 @@ fn sweep_is_bit_identical_across_selectors_partitioners_and_seeds() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn sweep_build_remainders_stay_bit_identical() {
+    // 3_005 ranks is neither a multiple of the 8-lane kernels nor of the
+    // build block, so every partial block and lane remainder runs.
+    for partitioner in PartitionerKind::ALL {
+        for selector in [SelectorKind::LeastLoaded, SelectorKind::Random] {
+            let cfg = with_items(selector, partitioner, 25, 11, 3_005);
+            let mut sweep = RunSweep::new(&cfg, cfg.items).unwrap();
+            let grid = [26, 1_001, 3_004, 3_005];
+            let reports = sweep.evaluate(25, &grid).unwrap();
+            for (&x, report) in grid.iter().zip(&reports) {
+                assert_eq!(
+                    report,
+                    &per_point(&cfg, 25, x),
+                    "mismatch at {selector:?}/{partitioner:?}/x={x}"
+                );
             }
         }
     }
