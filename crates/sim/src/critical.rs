@@ -126,7 +126,14 @@ where
 
 /// Builds one [`RunSweep`] per run (seeded `base.for_run(i)`, the same
 /// derivation the per-point repetition path uses), striped over threads.
+/// Zero runs is an error: a gain over no runs would be made up.
 fn build_sweeps(base: &SimConfig, runs: usize, threads: usize) -> Result<Vec<RunSweep>> {
+    if runs == 0 {
+        return Err(SimError::InvalidConfig {
+            field: "runs",
+            reason: "a gain needs at least one run".to_owned(),
+        });
+    }
     repeat(runs, threads, |i| {
         RunSweep::new(&base.for_run(i as u64), base.items)
     })
@@ -162,7 +169,7 @@ fn probe_gain(sweeps: &mut [RunSweep], base: &SimConfig, c: usize, threads: usiz
 ///
 /// # Errors
 ///
-/// Propagates simulation errors.
+/// Returns an error if `runs` is zero; propagates simulation errors.
 pub fn best_response_gain(base: &SimConfig, c: usize, runs: usize, threads: usize) -> Result<f64> {
     let mut sweeps = build_sweeps(base, runs, threads)?;
     probe_gain(&mut sweeps, base, c, threads)
@@ -177,7 +184,8 @@ pub fn best_response_gain(base: &SimConfig, c: usize, runs: usize, threads: usiz
 ///
 /// # Errors
 ///
-/// Propagates simulation errors; fails if the search window is too small.
+/// Returns an error if `runs` is zero; propagates simulation errors;
+/// fails if the search window is too small.
 pub fn find_critical_cache_size(
     base: &SimConfig,
     runs: usize,
@@ -274,6 +282,20 @@ mod tests {
         let best = best_response_gain(&base, 10, 4, 0).unwrap();
         assert!(best >= small_x_gain - 1e-9);
         assert!(best > 1.0);
+    }
+
+    #[test]
+    fn zero_runs_is_rejected() {
+        let base = base(100);
+        for result in [
+            find_critical_cache_size(&base, 0, 0).map(|cp| cp.gain_at),
+            best_response_gain(&base, 10, 0, 0),
+        ] {
+            assert!(
+                matches!(result, Err(SimError::InvalidConfig { field: "runs", .. })),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

@@ -62,6 +62,11 @@
 //! once (as the critical-size search does) costs `runs` times that: 60 MB
 //! for its 10 held runs at paper scale. `u16` ids cap a sweep at
 //! [`MAX_SWEEP_NODES`] nodes.
+//!
+//! The walk's count table has one `u32` per representable id, so a stored
+//! id indexes it with no bounds check: 256 KB of zeroed virtual memory per
+//! run, of which a walk touches only the `4·n` bytes under the cluster's
+//! `n` nodes (4 KB at `n = 1000`).
 
 use crate::config::{CacheKind, SelectorKind, SimConfig};
 use crate::error::SimError;
@@ -99,13 +104,18 @@ pub struct RunSweep {
     /// Flattened `x_max * d` node indices: rank `r`'s group occupies
     /// `groups[r*d .. (r+1)*d]`, in partition order.
     groups: Vec<u16>,
-    /// Scratch: per-node addend counts for the current walk.
-    counts: Vec<u32>,
-    /// Scratch: reconstructed per-node loads.
-    loads: Vec<f64>,
+    /// Cluster size: the walk uses and reports `counts[..nodes]`.
+    nodes: usize,
+    /// Scratch: per-node addend counts for the current walk, indexed
+    /// directly by the stored `u16` ids.
+    counts: Box<CountTable>,
     /// Scratch: the repeated-sum table `t[k]`.
     table: Vec<f64>,
 }
+
+/// One counter per representable `u16` node id, so indexing by a stored
+/// id is in bounds by construction.
+type CountTable = [u32; MAX_SWEEP_NODES];
 
 impl RunSweep {
     /// Precomputes the routing structure for one run: builds the
@@ -148,13 +158,13 @@ impl RunSweep {
         // The cluster is fully alive, so every live group is the whole
         // partition group and the selector only acts during the walk.
         let partitioner = cfg.build_partitioner()?;
-        if partitioner.index_bound() > MAX_SWEEP_NODES {
+        let bound = partitioner.index_bound().max(cfg.nodes);
+        if bound > MAX_SWEEP_NODES {
             return Err(SimError::InvalidConfig {
                 field: "nodes",
                 reason: format!(
                     "sweep engine stores u16 node ids and supports at most \
-                     {MAX_SWEEP_NODES} nodes, got {}",
-                    partitioner.index_bound()
+                     {MAX_SWEEP_NODES} nodes, got {bound}"
                 ),
             });
         }
@@ -189,14 +199,23 @@ impl RunSweep {
                     .map(|node| u16::try_from(node.value()).unwrap_or(u16::MAX)),
             );
         }
+        // A zeroed allocation: only the pages under `..nodes` are ever
+        // touched.
+        let Ok(counts) = Box::<CountTable>::try_from(vec![0; MAX_SWEEP_NODES].into_boxed_slice())
+        else {
+            return Err(SimError::InvalidConfig {
+                field: "nodes",
+                reason: "internal: count table has the wrong length".to_owned(),
+            });
+        };
         Ok(Self {
             replication: d,
             offered: cfg.rate,
             x_max,
             sticky,
             groups,
-            counts: vec![0; cfg.nodes],
-            loads: Vec::with_capacity(cfg.nodes),
+            nodes: cfg.nodes,
+            counts,
             table: Vec::new(),
         })
     }
@@ -319,68 +338,95 @@ impl RunSweep {
             });
         }
 
-        self.counts.fill(0);
-        // Split the borrows: the group iterator holds `groups` across the
-        // whole walk while the scratch buffers are updated per point.
-        let Self {
-            replication,
-            offered,
-            sticky,
-            groups,
-            counts,
-            loads,
-            table,
-            ..
-        } = self;
-        let (d, offered, sticky) = (*replication, *offered, *sticky);
-        let mut max_count: u32 = 0;
-        let mut next_rank = skip_ranks as u64;
-        let mut group_iter = groups.chunks_exact(d).skip(skip_ranks);
+        let d = self.replication;
+        self.counts
+            .get_mut(..self.nodes)
+            .unwrap_or_default()
+            .fill(0);
+        // Ranks at or above `x_max` are never routed, so clamping keeps the
+        // group offsets in range.
+        let mut next_rank = skip_ranks.min(self.x_max as usize);
         let mut out = Vec::with_capacity(x_values.len());
         for &x in x_values {
             // Route ranks `next_rank..x` — exactly the backend-visible
             // ranks the per-point engine routes for pattern support `x`,
             // in the same order, continuing from the previous grid point.
-            let todo = x.saturating_sub(next_rank) as usize;
-            for group in group_iter.by_ref().take(todo) {
-                if sticky {
-                    // argmin over counts with first-wins ties replays
-                    // `argmin_load` exactly: loads are strictly
-                    // increasing in the count (module docs).
-                    let mut best = usize::MAX;
-                    let mut best_count = u32::MAX;
-                    for &node in group {
-                        let node = usize::from(node);
-                        let count = counts.get(node).copied().unwrap_or(u32::MAX);
-                        if count < best_count {
-                            best = node;
-                            best_count = count;
-                        }
-                    }
-                    if let Some(slot) = counts.get_mut(best) {
-                        *slot = best_count + 1;
-                        max_count = max_count.max(*slot);
-                    }
-                } else {
-                    for &node in group {
-                        if let Some(slot) = counts.get_mut(usize::from(node)) {
-                            *slot += 1;
-                            max_count = max_count.max(*slot);
-                        }
-                    }
-                }
-            }
-            next_rank = next_rank.max(x);
-            out.push(report_at(
-                counts,
-                table,
-                loads,
-                offered,
-                loads_at(x),
-                max_count,
-            ));
+            let end = (x as usize).max(next_rank);
+            let span = self.groups.get(next_rank * d..end * d).unwrap_or_default();
+            route(&mut self.counts, span, d, self.sticky);
+            next_rank = end;
+            let used = self.counts.get(..self.nodes).unwrap_or_default();
+            out.push(report_at(used, &mut self.table, self.offered, loads_at(x)));
         }
         Ok(out)
+    }
+}
+
+/// Routes every rank whose group lies in `groups` (`d` ids per rank),
+/// bumping `counts`. Replication factors 1–5 get a kernel with `d` as a
+/// constant; larger ones take the runtime-`d` loop.
+fn route(counts: &mut CountTable, groups: &[u16], d: usize, sticky: bool) {
+    match d {
+        1 => route_ranks::<1>(counts, groups, sticky),
+        2 => route_ranks::<2>(counts, groups, sticky),
+        3 => route_ranks::<3>(counts, groups, sticky),
+        4 => route_ranks::<4>(counts, groups, sticky),
+        5 => route_ranks::<5>(counts, groups, sticky),
+        _ => route_each(counts, groups.chunks_exact(d), sticky),
+    }
+}
+
+/// [`route`] for `D == d`: the group width is known, so the per-rank body
+/// unrolls.
+fn route_ranks<const D: usize>(counts: &mut CountTable, groups: &[u16], sticky: bool) {
+    let (ranks, _) = groups.as_chunks::<D>();
+    route_each(counts, ranks.iter().map(<[u16; D]>::as_slice), sticky);
+}
+
+/// Routes each group of `ranks`, with the selector branch hoisted out of
+/// the loop.
+#[inline(always)]
+fn route_each<'a>(counts: &mut CountTable, ranks: impl Iterator<Item = &'a [u16]>, sticky: bool) {
+    if sticky {
+        for group in ranks {
+            route_rank(counts, group, true);
+        }
+    } else {
+        for group in ranks {
+            route_rank(counts, group, false);
+        }
+    }
+}
+
+/// Routes one rank. Sticky: the member with the smallest count, first
+/// wins ties, gets the whole rank — the argmin replays `argmin_load`
+/// exactly, because loads are strictly increasing in the count (module
+/// docs). Even split: every member gets one addend.
+///
+/// Every `u16` id is in bounds of the table, so the lookups carry no
+/// bounds checks, and the argmin picks with selects rather than branches.
+#[inline(always)]
+fn route_rank(counts: &mut CountTable, group: &[u16], sticky: bool) {
+    if sticky {
+        let mut best = 0u16;
+        let mut best_count = u32::MAX;
+        for &node in group {
+            let count = counts.get(usize::from(node)).copied().unwrap_or(u32::MAX);
+            (best, best_count) = if count < best_count {
+                (node, count)
+            } else {
+                (best, best_count)
+            };
+        }
+        if let Some(slot) = counts.get_mut(usize::from(best)) {
+            *slot = best_count + 1;
+        }
+    } else {
+        for &node in group {
+            if let Some(slot) = counts.get_mut(usize::from(node)) {
+                *slot += 1;
+            }
+        }
     }
 }
 
@@ -393,17 +439,12 @@ struct PointLoads {
 }
 
 /// Reconstructs the per-point engine's exact `LoadReport` for the current
-/// walk prefix (= pattern support `x` at cache `c`). A free function so
-/// the caller can keep its replica-group iterator borrowed across points.
-fn report_at(
-    counts: &[u32],
-    table: &mut Vec<f64>,
-    loads: &mut Vec<f64>,
-    offered: f64,
-    point: PointLoads,
-    max_count: u32,
-) -> LoadReport {
+/// walk prefix (= pattern support `x` at cache `c`) from the cluster's
+/// `counts`. A free function so the caller can keep the sweep's fields
+/// borrowed across points.
+fn report_at(counts: &[u32], table: &mut Vec<f64>, offered: f64, point: PointLoads) -> LoadReport {
     // Backend loads from the repeated-sum table (module docs).
+    let max_count = counts.iter().copied().max().unwrap_or(0);
     table.clear();
     table.push(0.0);
     let mut acc = 0.0;
@@ -411,15 +452,13 @@ fn report_at(
         acc += point.addend;
         table.push(acc);
     }
-    loads.clear();
-    loads.extend(
-        counts
-            .iter()
-            .map(|&count| table.get(count as usize).copied().unwrap_or(0.0)),
-    );
+    let loads = counts
+        .iter()
+        .map(|&count| table.get(count as usize).copied().unwrap_or(0.0))
+        .collect();
 
     LoadReport {
-        snapshot: LoadSnapshot::new(loads.clone()),
+        snapshot: LoadSnapshot::new(loads),
         cache_load: point.cache_load,
         offered,
         unserved: 0.0,
@@ -578,13 +617,20 @@ fn group_points(base: &SimConfig, points: &[SweepPoint]) -> Result<PointGroups> 
 /// # Errors
 ///
 /// Propagates simulation errors (first failing run wins) and rejects
-/// malformed grids or non-`perfect`/`none` cache kinds.
+/// malformed grids, non-`perfect`/`none` cache kinds, and a rule that
+/// allows zero runs.
 pub fn repeat_sweep_journaled(
     base: &SimConfig,
     points: &[SweepPoint],
     rule: &StopRule,
     threads: usize,
 ) -> Result<Vec<SweepRun>> {
+    if rule.max_runs == 0 {
+        return Err(SimError::InvalidConfig {
+            field: "runs",
+            reason: "a sweep needs at least one run".to_owned(),
+        });
+    }
     let groups = group_points(base, points)?;
     let Some(x_max) = points.iter().map(|p| p.x).max() else {
         // Unreachable: group_points already rejected an empty grid.
@@ -957,6 +1003,16 @@ mod tests {
                 field: "cache_kind",
                 ..
             })
+        ));
+    }
+
+    #[test]
+    fn zero_runs_is_rejected() {
+        let cfg = base(SelectorKind::LeastLoaded);
+        let points = [SweepPoint { cache: 10, x: 11 }];
+        assert!(matches!(
+            repeat_sweep_journaled(&cfg, &points, &StopRule::fixed(0), 0),
+            Err(SimError::InvalidConfig { field: "runs", .. })
         ));
     }
 

@@ -7,10 +7,15 @@
 //! integer counts (see `scp_sim::sweep` module docs for the summation
 //! order argument). These tests pin that promise across selectors,
 //! partitioners, seeds and the grid boundaries the paper's artifacts
-//! exercise — `x = c + 1` and `c = 0` included.
+//! exercise — `x = c + 1` and `c = 0` included. The walk has one kernel per
+//! replication factor 1–5 and a runtime-`d` loop above that, so the
+//! replication factors here cover both.
 
 use secure_cache_provision::prelude::*;
-use secure_cache_provision::sim::sweep::{repeat_sweep_journaled, RunSweep, SweepPoint};
+use secure_cache_provision::sim::critical::{best_response_gain, find_critical_cache_size};
+use secure_cache_provision::sim::sweep::{
+    repeat_sweep_journaled, RunSweep, SweepPoint, MAX_SWEEP_NODES,
+};
 
 fn base(
     selector: SelectorKind,
@@ -190,4 +195,171 @@ fn journal_seeds_replay_through_the_per_point_engine() {
             assert_eq!(record.seed, point_cfg.for_run(record.run as u64).seed);
         }
     }
+}
+
+/// Selectors that exercise both walks: sticky least-loaded and the even
+/// split.
+const WALK_SELECTORS: [SelectorKind; 3] = [
+    SelectorKind::LeastLoaded,
+    SelectorKind::Random,
+    SelectorKind::PerQueryLeastLoaded,
+];
+
+fn shaped(selector: SelectorKind, nodes: usize, d: usize, items: u64, seed: u64) -> SimConfig {
+    SimConfig::builder()
+        .nodes(nodes)
+        .replication(d)
+        .items(items)
+        .rate(1e4)
+        .selector(selector)
+        .seed(seed)
+        .build()
+        .unwrap()
+}
+
+/// Walks `grid` at cache `c` and asserts every report equals the
+/// per-point engine's.
+fn assert_walk_matches(cfg: &SimConfig, c: usize, grid: &[u64], what: &str) -> Vec<LoadReport> {
+    let mut sweep = RunSweep::new(cfg, cfg.items).unwrap();
+    let reports = sweep.evaluate(c, grid).unwrap();
+    for (&x, report) in grid.iter().zip(&reports) {
+        assert_eq!(report, &per_point(cfg, c, x), "{what} c={c} x={x}");
+    }
+    reports
+}
+
+#[test]
+fn sweep_is_bit_identical_for_every_replication_kernel() {
+    for d in [1usize, 2, 4, 5, 7] {
+        for selector in WALK_SELECTORS {
+            for seed in [0u64, 13] {
+                let cfg = shaped(selector, 60, d, 3_000, seed);
+                let what = format!("d={d}/{selector:?}/seed={seed}");
+                assert_walk_matches(&cfg, 25, &[26, 40, 500, 3_000], &what);
+                assert_walk_matches(&cfg, 0, &[1, 2, 3_000], &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn collision_heavy_groups_break_ties_first_wins() {
+    // n = d: every group is the whole cluster in some order, so the counts
+    // tie on every rank whose predecessors spread evenly, and first-wins
+    // decides the pin.
+    for d in [2usize, 3, 5, 7] {
+        for selector in WALK_SELECTORS {
+            let cfg = shaped(selector, d, d, 500, 5);
+            let what = format!("n=d={d}/{selector:?}");
+            assert_walk_matches(&cfg, 0, &[1, 2, 3, 7, 64, 499, 500], &what);
+            assert_walk_matches(&cfg, 10, &[11, 12, 500], &what);
+        }
+    }
+}
+
+#[test]
+fn top_node_id_routes_in_both_walks() {
+    // 200k ranks x 3 replicas over 65,536 nodes leave almost no node
+    // unrouted, so the largest u16 id carries load in the checked report.
+    for selector in [SelectorKind::LeastLoaded, SelectorKind::Random] {
+        let cfg = shaped(selector, MAX_SWEEP_NODES, 3, 200_000, 1);
+        let reports = assert_walk_matches(
+            &cfg,
+            100,
+            &[101, 200_000],
+            &format!("n={MAX_SWEEP_NODES}/{selector:?}"),
+        );
+        let top = reports[1].snapshot.loads()[MAX_SWEEP_NODES - 1];
+        assert!(
+            top > 0.0,
+            "{selector:?}: top id {} idle",
+            MAX_SWEEP_NODES - 1
+        );
+    }
+}
+
+/// Asserts the least-loaded critical search at a small shape probes
+/// exactly `probes` (cache size, gain bits) and lands on `critical`.
+fn assert_probe_trace(d: usize, critical: usize, probes: &[(usize, u64)]) {
+    let cfg = shaped(SelectorKind::LeastLoaded, 50, d, 5_000, 21);
+    let cp = find_critical_cache_size(&cfg, 4, 0).unwrap();
+    let trace: Vec<(usize, u64)> = cp
+        .trace
+        .iter()
+        .map(|p| (p.cache_size, p.gain.to_bits()))
+        .collect();
+    assert_eq!(trace, probes, "d={d}");
+    assert_eq!(cp.cache_size, critical, "d={d}");
+}
+
+/// Asserts the best-response gain bits at each `(cache size, bits)`.
+fn assert_gains(selector: SelectorKind, d: usize, gains: &[(usize, u64)]) {
+    let cfg = shaped(selector, 50, d, 5_000, 21);
+    for &(c, bits) in gains {
+        let gain = best_response_gain(&cfg, c, 4, 0).unwrap();
+        assert_eq!(gain.to_bits(), bits, "{selector:?} d={d} c={c}: {gain}");
+    }
+}
+
+// Probe sequences and gain bits below were recorded from the walk before
+// its count table and kernels were rewritten.
+
+#[test]
+fn critical_search_probe_trace_is_pinned() {
+    // d = 3 takes a constant-d kernel, d = 7 the runtime-d loop.
+    assert_probe_trace(
+        3,
+        49,
+        &[
+            (256, 0x3feeb851eb851eb8),
+            (0, 0x4049000000000000),
+            (128, 0x3fefae147ae147ae),
+            (64, 0x3ff0000000000000),
+            (32, 0x3ff83e0f83e0f83f),
+            (48, 0x3ff05397829cbc14),
+            (56, 0x3ff0000000000000),
+            (52, 0x3ff0000000000000),
+            (50, 0x3ff0000000000000),
+            (49, 0x3ff0000000000000),
+        ],
+    );
+    assert_probe_trace(
+        7,
+        49,
+        &[
+            (148, 0x3fef5c28f5c28f5c),
+            (0, 0x4049000000000000),
+            (74, 0x3fefae147ae147ae),
+            (37, 0x3ff50d79435e50d7),
+            (55, 0x3ff0000000000000),
+            (46, 0x3ff10572620ae4c4),
+            (50, 0x3ff0000000000000),
+            (48, 0x3ff05397829cbc14),
+            (49, 0x3ff0000000000000),
+        ],
+    );
+}
+
+#[test]
+fn even_split_best_response_gains_are_pinned() {
+    // The even split never drops to gain 1 at this shape, so the search
+    // would fail; its pin is the best-response gain itself.
+    assert_gains(
+        SelectorKind::Random,
+        5,
+        &[
+            (0, 0x4024000000000000),
+            (30, 0x3ff21cac0831271a),
+            (100, 0x3ff204189374bc9a),
+        ],
+    );
+    assert_gains(
+        SelectorKind::PerQueryLeastLoaded,
+        2,
+        &[
+            (0, 0x4039000000000000),
+            (30, 0x3ff3d70a3d70a3d7),
+            (100, 0x3ff3d70a3d70a3d7),
+        ],
+    );
 }
