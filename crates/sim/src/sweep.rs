@@ -363,8 +363,9 @@ impl RunSweep {
 }
 
 /// Routes every rank whose group lies in `groups` (`d` ids per rank),
-/// bumping `counts`. Replication factors 1–5 get a kernel with `d` as a
-/// constant; larger ones take the runtime-`d` loop.
+/// bumping `counts`. Replication factors 1–6 get a kernel with `d` as a
+/// constant; larger ones take the runtime-`d` loop. Ablation A3 sweeps
+/// d = 1..=6, so every replication factor a repro driver walks is covered.
 fn route(counts: &mut CountTable, groups: &[u16], d: usize, sticky: bool) {
     match d {
         1 => route_ranks::<1>(counts, groups, sticky),
@@ -372,6 +373,7 @@ fn route(counts: &mut CountTable, groups: &[u16], d: usize, sticky: bool) {
         3 => route_ranks::<3>(counts, groups, sticky),
         4 => route_ranks::<4>(counts, groups, sticky),
         5 => route_ranks::<5>(counts, groups, sticky),
+        6 => route_ranks::<6>(counts, groups, sticky),
         _ => route_each(counts, groups.chunks_exact(d), sticky),
     }
 }

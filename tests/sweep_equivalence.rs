@@ -8,7 +8,7 @@
 //! order argument). These tests pin that promise across selectors,
 //! partitioners, seeds and the grid boundaries the paper's artifacts
 //! exercise — `x = c + 1` and `c = 0` included. The walk has one kernel per
-//! replication factor 1–5 and a runtime-`d` loop above that, so the
+//! replication factor 1–6 and a runtime-`d` loop above that, so the
 //! replication factors here cover both.
 
 use secure_cache_provision::prelude::*;
@@ -23,19 +23,21 @@ fn base(
     cache: usize,
     seed: u64,
 ) -> SimConfig {
-    with_items(selector, partitioner, cache, seed, 3_000)
+    config(selector, partitioner, 60, 3, 3_000, cache, seed)
 }
 
-fn with_items(
+fn config(
     selector: SelectorKind,
     partitioner: PartitionerKind,
+    nodes: usize,
+    d: usize,
+    items: u64,
     cache: usize,
     seed: u64,
-    items: u64,
 ) -> SimConfig {
     SimConfig::builder()
-        .nodes(60)
-        .replication(3)
+        .nodes(nodes)
+        .replication(d)
         .items(items)
         .rate(1e4)
         .cache_capacity(cache)
@@ -71,26 +73,46 @@ fn sweep_is_bit_identical_across_selectors_partitioners_and_seeds() {
         PartitionerKind::Range,
         PartitionerKind::MultiProbe,
     ];
-    for &selector in &selectors {
-        for &partitioner in &partitioners {
-            for seed in [0u64, 7, 0xDEAD_BEEF] {
-                for cache in [0usize, 25] {
-                    let cfg = base(selector, partitioner, cache, seed);
-                    let mut sweep = RunSweep::new(&cfg, cfg.items).unwrap();
-                    // x = c + 1 boundary, interior points, and x = m.
-                    let grid: Vec<u64> = [cache as u64 + 1, 40, 500, 3_000]
-                        .into_iter()
-                        .filter(|&x| x > cache as u64)
-                        .collect::<std::collections::BTreeSet<_>>()
-                        .into_iter()
-                        .collect();
-                    let reports = sweep.evaluate(cache, &grid).unwrap();
-                    for (&x, report) in grid.iter().zip(&reports) {
-                        assert_eq!(
-                            report,
-                            &per_point(&cfg, cache, x),
-                            "mismatch at {selector:?}/{partitioner:?}/seed={seed}/c={cache}/x={x}"
-                        );
+    // (nodes, d): the 60-node d = 3 cluster, every other walk kernel
+    // (d = 1, 2, 4, 5, 6) and the runtime-d loop (d = 7), then n = d
+    // shapes, where every group is the whole cluster in some order, the
+    // counts tie on every rank whose predecessors spread evenly, and
+    // first-wins decides the pin.
+    let shapes = [
+        (60, 3),
+        (60, 1),
+        (60, 2),
+        (60, 4),
+        (60, 5),
+        (60, 6),
+        (60, 7),
+        (2, 2),
+        (3, 3),
+        (5, 5),
+        (7, 7),
+    ];
+    for (nodes, d) in shapes {
+        for &selector in &selectors {
+            for &partitioner in &partitioners {
+                for seed in [0u64, 7, 0xDEAD_BEEF] {
+                    for cache in [0usize, 25] {
+                        let cfg = config(selector, partitioner, nodes, d, 3_000, cache, seed);
+                        let mut sweep = RunSweep::new(&cfg, cfg.items).unwrap();
+                        // x = c + 1 boundary, interior points, and x = m.
+                        let grid: Vec<u64> = [cache as u64 + 1, 40, 500, 3_000]
+                            .into_iter()
+                            .filter(|&x| x > cache as u64)
+                            .collect::<std::collections::BTreeSet<_>>()
+                            .into_iter()
+                            .collect();
+                        let reports = sweep.evaluate(cache, &grid).unwrap();
+                        for (&x, report) in grid.iter().zip(&reports) {
+                            assert_eq!(
+                                report,
+                                &per_point(&cfg, cache, x),
+                                "mismatch at n={nodes}/d={d}/{selector:?}/{partitioner:?}/seed={seed}/c={cache}/x={x}"
+                            );
+                        }
                     }
                 }
             }
@@ -104,7 +126,7 @@ fn sweep_build_remainders_stay_bit_identical() {
     // build block, so every partial block and lane remainder runs.
     for partitioner in PartitionerKind::ALL {
         for selector in [SelectorKind::LeastLoaded, SelectorKind::Random] {
-            let cfg = with_items(selector, partitioner, 25, 11, 3_005);
+            let cfg = config(selector, partitioner, 60, 3, 3_005, 25, 11);
             let mut sweep = RunSweep::new(&cfg, cfg.items).unwrap();
             let grid = [26, 1_001, 3_004, 3_005];
             let reports = sweep.evaluate(25, &grid).unwrap();
@@ -197,78 +219,26 @@ fn journal_seeds_replay_through_the_per_point_engine() {
     }
 }
 
-/// Selectors that exercise both walks: sticky least-loaded and the even
-/// split.
-const WALK_SELECTORS: [SelectorKind; 3] = [
-    SelectorKind::LeastLoaded,
-    SelectorKind::Random,
-    SelectorKind::PerQueryLeastLoaded,
-];
-
-fn shaped(selector: SelectorKind, nodes: usize, d: usize, items: u64, seed: u64) -> SimConfig {
-    SimConfig::builder()
-        .nodes(nodes)
-        .replication(d)
-        .items(items)
-        .rate(1e4)
-        .selector(selector)
-        .seed(seed)
-        .build()
-        .unwrap()
-}
-
-/// Walks `grid` at cache `c` and asserts every report equals the
-/// per-point engine's.
-fn assert_walk_matches(cfg: &SimConfig, c: usize, grid: &[u64], what: &str) -> Vec<LoadReport> {
-    let mut sweep = RunSweep::new(cfg, cfg.items).unwrap();
-    let reports = sweep.evaluate(c, grid).unwrap();
-    for (&x, report) in grid.iter().zip(&reports) {
-        assert_eq!(report, &per_point(cfg, c, x), "{what} c={c} x={x}");
-    }
-    reports
-}
-
-#[test]
-fn sweep_is_bit_identical_for_every_replication_kernel() {
-    for d in [1usize, 2, 4, 5, 7] {
-        for selector in WALK_SELECTORS {
-            for seed in [0u64, 13] {
-                let cfg = shaped(selector, 60, d, 3_000, seed);
-                let what = format!("d={d}/{selector:?}/seed={seed}");
-                assert_walk_matches(&cfg, 25, &[26, 40, 500, 3_000], &what);
-                assert_walk_matches(&cfg, 0, &[1, 2, 3_000], &what);
-            }
-        }
-    }
-}
-
-#[test]
-fn collision_heavy_groups_break_ties_first_wins() {
-    // n = d: every group is the whole cluster in some order, so the counts
-    // tie on every rank whose predecessors spread evenly, and first-wins
-    // decides the pin.
-    for d in [2usize, 3, 5, 7] {
-        for selector in WALK_SELECTORS {
-            let cfg = shaped(selector, d, d, 500, 5);
-            let what = format!("n=d={d}/{selector:?}");
-            assert_walk_matches(&cfg, 0, &[1, 2, 3, 7, 64, 499, 500], &what);
-            assert_walk_matches(&cfg, 10, &[11, 12, 500], &what);
-        }
-    }
-}
-
 #[test]
 fn top_node_id_routes_in_both_walks() {
     // 200k ranks x 3 replicas over 65,536 nodes leave almost no node
     // unrouted, so the largest u16 id carries load in the checked report.
     for selector in [SelectorKind::LeastLoaded, SelectorKind::Random] {
-        let cfg = shaped(selector, MAX_SWEEP_NODES, 3, 200_000, 1);
-        let reports = assert_walk_matches(
-            &cfg,
+        let cfg = config(
+            selector,
+            PartitionerKind::Hash,
+            MAX_SWEEP_NODES,
+            3,
+            200_000,
             100,
-            &[101, 200_000],
-            &format!("n={MAX_SWEEP_NODES}/{selector:?}"),
+            1,
         );
+        let mut sweep = RunSweep::new(&cfg, cfg.items).unwrap();
+        let grid = [101, 200_000];
+        let reports = sweep.evaluate(100, &grid).unwrap();
+        for (&x, report) in grid.iter().zip(&reports) {
+            assert_eq!(report, &per_point(&cfg, 100, x), "{selector:?}/x={x}");
+        }
         let top = reports[1].snapshot.loads()[MAX_SWEEP_NODES - 1];
         assert!(
             top > 0.0,
@@ -281,7 +251,15 @@ fn top_node_id_routes_in_both_walks() {
 /// Asserts the least-loaded critical search at a small shape probes
 /// exactly `probes` (cache size, gain bits) and lands on `critical`.
 fn assert_probe_trace(d: usize, critical: usize, probes: &[(usize, u64)]) {
-    let cfg = shaped(SelectorKind::LeastLoaded, 50, d, 5_000, 21);
+    let cfg = config(
+        SelectorKind::LeastLoaded,
+        PartitionerKind::Hash,
+        50,
+        d,
+        5_000,
+        0,
+        21,
+    );
     let cp = find_critical_cache_size(&cfg, 4, 0).unwrap();
     let trace: Vec<(usize, u64)> = cp
         .trace
@@ -294,7 +272,7 @@ fn assert_probe_trace(d: usize, critical: usize, probes: &[(usize, u64)]) {
 
 /// Asserts the best-response gain bits at each `(cache size, bits)`.
 fn assert_gains(selector: SelectorKind, d: usize, gains: &[(usize, u64)]) {
-    let cfg = shaped(selector, 50, d, 5_000, 21);
+    let cfg = config(selector, PartitionerKind::Hash, 50, d, 5_000, 0, 21);
     for &(c, bits) in gains {
         let gain = best_response_gain(&cfg, c, 4, 0).unwrap();
         assert_eq!(gain.to_bits(), bits, "{selector:?} d={d} c={c}: {gain}");
