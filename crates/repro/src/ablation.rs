@@ -28,12 +28,12 @@ fn base_sim(opts: &Opts) -> Result<SimConfig> {
     };
     SimConfig::builder()
         .nodes(nodes)
-        .cache_kind(opts.cache)
+        .cache_kind(opts.common.cache)
         .cache_capacity(cache)
         .items(items)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed)
+        .partitioner(opts.common.partitioner)
+        .selector(opts.common.selector)
+        .seed(opts.common.seed)
         .build()
 }
 
@@ -255,9 +255,9 @@ pub fn cache_policies(opts: &Opts) -> Result<Table> {
                 .cache_capacity(cache)
                 .items(items)
                 .pattern(pattern.clone())
-                .partitioner(opts.partitioner)
-                .selector(opts.selector)
-                .seed(opts.seed ^ 0xAB4)
+                .partitioner(opts.common.partitioner)
+                .selector(opts.common.selector)
+                .seed(opts.common.seed ^ 0xAB4)
                 .build()?;
             let report = run_query_simulation(&sim, queries)?;
             let hit = report.cache_stats.map(|s| s.hit_rate()).unwrap_or_default();
@@ -291,9 +291,9 @@ pub fn multi_frontend(opts: &Opts) -> Result<Table> {
         .cache_capacity(cache)
         .items(items)
         .attack_x(x)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed ^ 0xA5)
+        .partitioner(opts.common.partitioner)
+        .selector(opts.common.selector)
+        .seed(opts.common.seed ^ 0xA5)
         .build()?;
     let mut t = Table::new(
         format!(
@@ -338,9 +338,9 @@ pub fn cost_model(opts: &Opts) -> Result<Table> {
         .nodes(nodes)
         .cache_capacity(cache)
         .items(items)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed ^ 0xA6)
+        .partitioner(opts.common.partitioner)
+        .selector(opts.common.selector)
+        .seed(opts.common.seed ^ 0xA6)
         .build()?;
     let mut t = Table::new(
         format!(
@@ -397,9 +397,9 @@ pub fn zipf_sensitivity(opts: &Opts, book: &mut JournalBook) -> Result<Table> {
             .cache_capacity(cache)
             .items(items)
             .pattern(AccessPattern::zipf(alpha, items)?)
-            .partitioner(opts.partitioner)
-            .selector(opts.selector)
-            .seed(opts.seed ^ 0xA7)
+            .partitioner(opts.common.partitioner)
+            .selector(opts.common.selector)
+            .seed(opts.common.seed ^ 0xA7)
             .build()?;
         let out = repeat_rate_simulation_journaled(&cfg, &rule, opts.threads)?;
         book.push(format!("a7/alpha={alpha}"), out.journal);
@@ -433,7 +433,7 @@ pub fn rebalance_vs_cache(opts: &Opts) -> Result<Table> {
             .cache_capacity(cache)
             .items(items)
             .pattern(pattern)
-            .seed(opts.seed ^ 0xA8)
+            .seed(opts.common.seed ^ 0xA8)
             .build()
             .expect("A8 config is valid")
     };
@@ -500,15 +500,6 @@ pub fn run_all_journaled(opts: &Opts) -> Result<(Vec<Table>, JournalBook)> {
         rebalance_vs_cache(opts)?,
     ];
     Ok((tables, book))
-}
-
-/// Runs all ablations, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_all(opts: &Opts) -> Result<Vec<Table>> {
-    Ok(run_all_journaled(opts)?.0)
 }
 
 #[cfg(test)]

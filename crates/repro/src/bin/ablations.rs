@@ -1,24 +1,6 @@
 //! Runs ablations A1–A8 (selection, partitioning, replication, caches,
 //! front-end fleets, operation costs, Zipf skew, rebalancing).
 
-use scp_repro::ablation::run_all_journaled;
-use scp_repro::output::save_journals;
-use scp_repro::Opts;
-
-fn main() {
-    let opts = Opts::from_env();
-    let (tables, book) = run_all_journaled(&opts).unwrap_or_else(|e| {
-        eprintln!("ablations failed: {e}");
-        std::process::exit(1);
-    });
-    for (i, t) in tables.iter().enumerate() {
-        t.print();
-        println!();
-        let name = format!("ablation_a{}", i + 1);
-        match t.save_csv(&opts.out, &name) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write CSV: {e}"),
-        }
-    }
-    save_journals(opts.journal.as_deref(), "ablations", &book);
+fn main() -> std::process::ExitCode {
+    scp_repro::Experiment::Ablations.main()
 }

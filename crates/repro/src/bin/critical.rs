@@ -5,9 +5,11 @@
 //! (`--fast`: 100 nodes, 1e5 keys); 200 repetitions per probe.
 
 use scp_repro::Opts;
+use scp_sim::cli;
 use scp_sim::config::SimConfig;
 use scp_sim::critical::find_critical_cache_size;
 use scp_sim::SimError;
+use std::process::ExitCode;
 
 fn run(opts: &Opts) -> Result<(), SimError> {
     let (nodes, items) = if opts.fast {
@@ -22,9 +24,9 @@ fn run(opts: &Opts) -> Result<(), SimError> {
         .rate(1e6)
         .cache_capacity(0)
         .attack_x(items)
-        .partitioner(opts.partitioner)
-        .selector(opts.selector)
-        .seed(opts.seed)
+        .partitioner(opts.common.partitioner)
+        .selector(opts.common.selector)
+        .seed(opts.common.seed)
         .build()?;
     let runs = opts.effective_runs(200);
     let point = find_critical_cache_size(&base, runs, opts.threads)?;
@@ -38,10 +40,13 @@ fn run(opts: &Opts) -> Result<(), SimError> {
     Ok(())
 }
 
-fn main() {
-    let opts = Opts::from_env();
-    if let Err(e) = run(&opts) {
-        eprintln!("critical search failed: {e}");
-        std::process::exit(1);
+fn main() -> ExitCode {
+    match cli::from_env(&Opts::flags()).map(|opts| run(&opts)) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(e)) => {
+            eprintln!("critical search failed: {e}");
+            ExitCode::FAILURE
+        }
+        Err(code) => code,
     }
 }

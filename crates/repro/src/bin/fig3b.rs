@@ -1,22 +1,5 @@
 //! Reproduces Figure 3(b): x-sweep with a provisioned (c = 2000) cache.
 
-use scp_repro::fig3::{run_journaled, table, Fig3Config};
-use scp_repro::output::{save_journals, JournalBook};
-use scp_repro::Opts;
-
-fn main() {
-    let opts = Opts::from_env();
-    let cfg = Fig3Config::paper(2000, &opts);
-    let mut book = JournalBook::new();
-    let rows = run_journaled(&cfg, &mut book).unwrap_or_else(|e| {
-        eprintln!("fig3b failed: {e}");
-        std::process::exit(1);
-    });
-    let t = table(&cfg, &rows);
-    t.print();
-    match t.save_csv(&opts.out, "fig3b") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
-    save_journals(opts.journal.as_deref(), "fig3b", &book);
+fn main() -> std::process::ExitCode {
+    scp_repro::Experiment::Fig3b.main()
 }

@@ -1,22 +1,5 @@
 //! Reproduces Figure 4: access-pattern comparison across cluster sizes.
 
-use scp_repro::fig4::{run_journaled, table, Fig4Config};
-use scp_repro::output::{save_journals, JournalBook};
-use scp_repro::Opts;
-
-fn main() {
-    let opts = Opts::from_env();
-    let cfg = Fig4Config::paper(&opts);
-    let mut book = JournalBook::new();
-    let rows = run_journaled(&cfg, &mut book).unwrap_or_else(|e| {
-        eprintln!("fig4 failed: {e}");
-        std::process::exit(1);
-    });
-    let t = table(&cfg, &rows);
-    t.print();
-    match t.save_csv(&opts.out, "fig4") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
-    save_journals(opts.journal.as_deref(), "fig4", &book);
+fn main() -> std::process::ExitCode {
+    scp_repro::Experiment::Fig4.main()
 }

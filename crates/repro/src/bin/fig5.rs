@@ -1,28 +1,6 @@
 //! Reproduces Figure 5(a) and 5(b): the best attack vs. cache size, the
 //! empirical critical point, and the paper's bound.
 
-use scp_repro::fig5::{run_journaled, table_panel_a, table_panel_b, Fig5Config};
-use scp_repro::output::{save_journals, JournalBook};
-use scp_repro::Opts;
-
-fn main() {
-    let opts = Opts::from_env();
-    let cfg = Fig5Config::paper(&opts);
-    let mut book = JournalBook::new();
-    let outcome = run_journaled(&cfg, &mut book).unwrap_or_else(|e| {
-        eprintln!("fig5 failed: {e}");
-        std::process::exit(1);
-    });
-    let a = table_panel_a(&cfg, &outcome);
-    let b = table_panel_b(&cfg, &outcome);
-    a.print();
-    println!();
-    b.print();
-    for (t, name) in [(&a, "fig5a"), (&b, "fig5b")] {
-        match t.save_csv(&opts.out, name) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write CSV: {e}"),
-        }
-    }
-    save_journals(opts.journal.as_deref(), "fig5", &book);
+fn main() -> std::process::ExitCode {
+    scp_repro::Experiment::Fig5.main()
 }

@@ -1,25 +1,6 @@
 //! Oracle-vs-online admission gap study plus the proof-of-work shield
 //! curve (see `scp_repro::gap`).
 
-use scp_repro::gap::{run, table_margin, table_pow, table_rotation, GapConfig};
-use scp_repro::Opts;
-
-fn main() {
-    let opts = Opts::from_env();
-    let cfg = GapConfig::paper(&opts);
-    let outcome = run(&cfg).unwrap_or_else(|e| {
-        eprintln!("gap failed: {e}");
-        std::process::exit(1);
-    });
-    for (table, name) in [
-        (table_margin(&cfg, &outcome.margins), "gap_margin"),
-        (table_rotation(&cfg, &outcome.rotations), "gap_rotation"),
-        (table_pow(&cfg, &outcome.pow), "gap_pow"),
-    ] {
-        table.print();
-        match table.save_csv(&opts.out, name) {
-            Ok(path) => println!("\nwrote {}\n", path.display()),
-            Err(e) => eprintln!("could not write {name}.csv: {e}"),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    scp_repro::Experiment::Gap.main()
 }

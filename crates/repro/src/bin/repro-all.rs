@@ -1,118 +1,28 @@
 //! Regenerates every figure of the paper plus the ablations in one go.
 
-use scp_repro::output::{save_journals, JournalBook};
-use scp_repro::{ablation, fig3, fig4, fig5, gap, reshard, Opts};
+use scp_repro::{Experiment, Opts};
+use scp_sim::cli;
+use std::process::ExitCode;
 
-fn main() {
-    let opts = Opts::from_env();
+fn main() -> ExitCode {
+    let opts = match cli::from_env(&Opts::flags()) {
+        Ok(opts) => opts,
+        Err(code) => return code,
+    };
     // scp-allow(wall-clock): progress display only; never enters tables,
     // CSVs or journals, so replays stay bit-for-bit identical
     let started = std::time::Instant::now();
-
-    let mut failures = 0usize;
-    let save = |table: &scp_repro::output::Table, name: &str| {
-        table.print();
-        println!();
-        match table.save_csv(&opts.out, name) {
-            Ok(path) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("could not write {name}.csv: {e}"),
-        }
-    };
-
-    for (cache, name) in [(200usize, "fig3a"), (2000, "fig3b")] {
-        let cfg = fig3::Fig3Config::paper(cache, &opts);
-        let mut book = JournalBook::new();
-        match fig3::run_journaled(&cfg, &mut book) {
-            Ok(rows) => {
-                save(&fig3::table(&cfg, &rows), name);
-                save_journals(opts.journal.as_deref(), name, &book);
-            }
-            Err(e) => {
-                eprintln!("{name} failed: {e}");
-                failures += 1;
-            }
-        }
-    }
-
-    let cfg4 = fig4::Fig4Config::paper(&opts);
-    let mut book4 = JournalBook::new();
-    match fig4::run_journaled(&cfg4, &mut book4) {
-        Ok(rows) => {
-            save(&fig4::table(&cfg4, &rows), "fig4");
-            save_journals(opts.journal.as_deref(), "fig4", &book4);
-        }
-        Err(e) => {
-            eprintln!("fig4 failed: {e}");
-            failures += 1;
-        }
-    }
-
-    let cfg5 = fig5::Fig5Config::paper(&opts);
-    let mut book5 = JournalBook::new();
-    match fig5::run_journaled(&cfg5, &mut book5) {
-        Ok(outcome) => {
-            save(&fig5::table_panel_a(&cfg5, &outcome), "fig5a");
-            save(&fig5::table_panel_b(&cfg5, &outcome), "fig5b");
-            save_journals(opts.journal.as_deref(), "fig5", &book5);
-        }
-        Err(e) => {
-            eprintln!("fig5 failed: {e}");
-            failures += 1;
-        }
-    }
-
-    match ablation::run_all_journaled(&opts) {
-        Ok((tables, book)) => {
-            for (i, t) in tables.iter().enumerate() {
-                save(t, &format!("ablation_a{}", i + 1));
-            }
-            save_journals(opts.journal.as_deref(), "ablations", &book);
-        }
-        Err(e) => {
-            eprintln!("ablations failed: {e}");
-            failures += 1;
-        }
-    }
-
-    let cfg_gap = gap::GapConfig::paper(&opts);
-    match gap::run(&cfg_gap) {
-        Ok(outcome) => {
-            save(&gap::table_margin(&cfg_gap, &outcome.margins), "gap_margin");
-            save(
-                &gap::table_rotation(&cfg_gap, &outcome.rotations),
-                "gap_rotation",
-            );
-            save(&gap::table_pow(&cfg_gap, &outcome.pow), "gap_pow");
-        }
-        Err(e) => {
-            eprintln!("gap failed: {e}");
-            failures += 1;
-        }
-    }
-
-    let cfg_reshard = reshard::ReshardConfig::paper(&opts);
-    match reshard::run(&cfg_reshard, opts.partitioner) {
-        Ok(outcome) => {
-            save(
-                &reshard::table_disruption(&cfg_reshard, &outcome.disruption),
-                "reshard_disruption",
-            );
-            save(
-                &reshard::table_drift(&cfg_reshard, opts.partitioner, &outcome.drift),
-                "reshard_cstar_drift",
-            );
-        }
-        Err(e) => {
-            eprintln!("reshard failed: {e}");
-            failures += 1;
-        }
-    }
-
+    // Every group runs even after an earlier one fails.
+    let failures = Experiment::ALL
+        .into_iter()
+        .filter(|experiment| !experiment.report(&opts))
+        .count();
     // scp-allow(wall-clock): progress display only; never enters tables,
     // CSVs or journals, so replays stay bit-for-bit identical
     println!("done in {:.1}s", started.elapsed().as_secs_f64());
     if failures > 0 {
         eprintln!("{failures} experiment group(s) failed");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -2,30 +2,6 @@
 //! scheme on a join/leave, and empirical `c*` drift across the epochs
 //! of a join→leave schedule (see `scp_repro::reshard`).
 
-use scp_repro::reshard::{run, table_disruption, table_drift, ReshardConfig};
-use scp_repro::Opts;
-
-fn main() {
-    let opts = Opts::from_env();
-    let cfg = ReshardConfig::paper(&opts);
-    let outcome = run(&cfg, opts.partitioner).unwrap_or_else(|e| {
-        eprintln!("reshard failed: {e}");
-        std::process::exit(1);
-    });
-    for (table, name) in [
-        (
-            table_disruption(&cfg, &outcome.disruption),
-            "reshard_disruption",
-        ),
-        (
-            table_drift(&cfg, opts.partitioner, &outcome.drift),
-            "reshard_cstar_drift",
-        ),
-    ] {
-        table.print();
-        match table.save_csv(&opts.out, name) {
-            Ok(path) => println!("\nwrote {}\n", path.display()),
-            Err(e) => eprintln!("could not write {name}.csv: {e}"),
-        }
-    }
+fn main() -> std::process::ExitCode {
+    scp_repro::Experiment::Reshard.main()
 }

@@ -70,11 +70,11 @@ impl Fig3Config {
             runs: opts.effective_runs(200),
             ci_target: opts.ci_target,
             threads: opts.threads,
-            seed: opts.seed,
+            seed: opts.common.seed,
             k: KParam::paper_fitted(),
-            cache_kind: opts.cache,
-            partitioner: opts.partitioner,
-            selector: opts.selector,
+            cache_kind: opts.common.cache,
+            partitioner: opts.common.partitioner,
+            selector: opts.common.selector,
         }
     }
 }
@@ -98,14 +98,14 @@ pub struct Fig3Row {
 pub fn log_spaced(lo: u64, hi: u64, points: usize) -> Vec<u64> {
     assert!(lo >= 1 && hi >= lo && points >= 2);
     let (flo, fhi) = (lo as f64, hi as f64);
+    let last = points - 1;
     let mut out: Vec<u64> = (0..points)
-        .map(|i| {
-            let t = i as f64 / (points - 1) as f64;
-            (flo * (fhi / flo).powf(t)).round() as u64
+        .map(|i| match i {
+            0 => lo,
+            i if i == last => hi,
+            i => (flo * (fhi / flo).powf(i as f64 / last as f64)).round() as u64,
         })
         .collect();
-    out[0] = lo;
-    *out.last_mut().expect("non-empty") = hi;
     out.dedup();
     out
 }
@@ -164,15 +164,6 @@ pub fn run_journaled(cfg: &Fig3Config, book: &mut JournalBook) -> Result<Vec<Fig
         });
     }
     Ok(rows)
-}
-
-/// Runs the sweep, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run(cfg: &Fig3Config) -> Result<Vec<Fig3Row>> {
-    run_journaled(cfg, &mut JournalBook::new())
 }
 
 /// Renders the sweep as a table.
@@ -241,7 +232,7 @@ mod tests {
         // c far below c* (1.2*50+1 = 61): decreasing gains, effective at
         // x = c+1.
         let cfg = tiny(20);
-        let rows = run(&cfg).unwrap();
+        let rows = run_journaled(&cfg, &mut JournalBook::new()).unwrap();
         assert!(rows[0].sim_max_gain > 1.0, "x=c+1 must be effective");
         let last = rows.last().unwrap();
         assert!(
@@ -254,7 +245,7 @@ mod tests {
     fn large_cache_panel_shape() {
         // c above c*: gain below 1 everywhere, increasing toward x=m.
         let cfg = tiny(100);
-        let rows = run(&cfg).unwrap();
+        let rows = run_journaled(&cfg, &mut JournalBook::new()).unwrap();
         for r in &rows {
             assert!(r.sim_max_gain <= 1.05, "x={} gain {}", r.x, r.sim_max_gain);
         }
@@ -268,7 +259,7 @@ mod tests {
         // mean across runs (the max-over-runs can poke slightly above).
         for cache in [20usize, 100] {
             let cfg = tiny(cache);
-            for r in run(&cfg).unwrap() {
+            for r in run_journaled(&cfg, &mut JournalBook::new()).unwrap() {
                 assert!(
                     r.bound_theory >= r.sim_mean_gain - 0.1,
                     "theory bound {} below mean {} at x={} (c={cache})",
@@ -284,7 +275,7 @@ mod tests {
     #[test]
     fn table_has_row_per_point() {
         let cfg = tiny(20);
-        let rows = run(&cfg).unwrap();
+        let rows = run_journaled(&cfg, &mut JournalBook::new()).unwrap();
         let t = table(&cfg, &rows);
         assert_eq!(t.len(), rows.len());
     }

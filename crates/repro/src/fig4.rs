@@ -66,11 +66,11 @@ impl Fig4Config {
             runs: opts.effective_runs(20),
             ci_target: opts.ci_target,
             threads: opts.threads,
-            seed: opts.seed,
-            cache_kind: opts.cache,
-            admission: opts.admission,
-            partitioner: opts.partitioner,
-            selector: opts.selector,
+            seed: opts.common.seed,
+            cache_kind: opts.common.cache,
+            admission: opts.common.admission,
+            partitioner: opts.common.partitioner,
+            selector: opts.common.selector,
         }
     }
 }
@@ -227,15 +227,6 @@ pub fn run_journaled(cfg: &Fig4Config, book: &mut JournalBook) -> Result<Vec<Fig
     Ok(rows)
 }
 
-/// Runs the sweep, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run(cfg: &Fig4Config) -> Result<Vec<Fig4Row>> {
-    run_journaled(cfg, &mut JournalBook::new())
-}
-
 /// Renders the sweep as a table.
 pub fn table(cfg: &Fig4Config, rows: &[Fig4Row]) -> Table {
     let mut t = Table::new(
@@ -304,7 +295,7 @@ mod tests {
 
     #[test]
     fn adversarial_dominates_and_grows_with_n() {
-        let rows = run(&tiny()).unwrap();
+        let rows = run_journaled(&tiny(), &mut JournalBook::new()).unwrap();
         for r in &rows {
             assert!(
                 r.adversarial >= r.uniform,
@@ -326,7 +317,7 @@ mod tests {
 
     #[test]
     fn organic_patterns_stay_benign() {
-        for r in run(&tiny()).unwrap() {
+        for r in run_journaled(&tiny(), &mut JournalBook::new()).unwrap() {
             assert!(
                 r.uniform < 1.6,
                 "uniform gain {} at n={}",
@@ -370,7 +361,7 @@ mod tests {
     #[test]
     fn table_shape() {
         let cfg = tiny();
-        let rows = run(&cfg).unwrap();
+        let rows = run_journaled(&cfg, &mut JournalBook::new()).unwrap();
         assert_eq!(table(&cfg, &rows).len(), 3);
     }
 

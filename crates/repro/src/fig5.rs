@@ -72,11 +72,11 @@ impl Fig5Config {
             runs: opts.effective_runs(20),
             ci_target: opts.ci_target,
             threads: opts.threads,
-            seed: opts.seed,
+            seed: opts.common.seed,
             k: KParam::paper_fitted(),
-            cache_kind: opts.cache,
-            partitioner: opts.partitioner,
-            selector: opts.selector,
+            cache_kind: opts.common.cache,
+            partitioner: opts.common.partitioner,
+            selector: opts.common.selector,
         }
     }
 }
@@ -208,15 +208,6 @@ pub fn run_journaled(cfg: &Fig5Config, book: &mut JournalBook) -> Result<Fig5Out
     })
 }
 
-/// Runs the sweep, discarding the journals.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run(cfg: &Fig5Config) -> Result<Fig5Outcome> {
-    run_journaled(cfg, &mut JournalBook::new())
-}
-
 fn find_crossing(rows: &[Fig5Row]) -> Option<f64> {
     let below = rows.iter().position(|r| r.best_gain <= 1.0)?;
     if below == 0 {
@@ -309,7 +300,7 @@ mod tests {
 
     #[test]
     fn best_gain_decreases_with_cache_size() {
-        let out = run(&tiny()).unwrap();
+        let out = run_journaled(&tiny(), &mut JournalBook::new()).unwrap();
         let gains: Vec<f64> = out.rows.iter().map(|r| r.best_gain).collect();
         // Allow small local noise but require overall monotone decline.
         assert!(gains.first().unwrap() > gains.last().unwrap());
@@ -319,7 +310,7 @@ mod tests {
 
     #[test]
     fn adversary_switches_from_small_x_to_whole_space() {
-        let out = run(&tiny()).unwrap();
+        let out = run_journaled(&tiny(), &mut JournalBook::new()).unwrap();
         let first = &out.rows[0];
         let last = out.rows.last().unwrap();
         assert_eq!(first.best_x, first.cache as u64 + 1);
@@ -328,7 +319,7 @@ mod tests {
 
     #[test]
     fn empirical_critical_is_near_bound() {
-        let out = run(&tiny()).unwrap();
+        let out = run_journaled(&tiny(), &mut JournalBook::new()).unwrap();
         let empirical = out.empirical_critical.expect("sweep crosses 1.0");
         let bound = out.bound_critical as f64; // 61
         assert!(
@@ -399,7 +390,7 @@ mod tests {
     #[test]
     fn tables_render() {
         let cfg = tiny();
-        let out = run(&cfg).unwrap();
+        let out = run_journaled(&cfg, &mut JournalBook::new()).unwrap();
         assert_eq!(table_panel_a(&cfg, &out).len(), out.rows.len());
         assert_eq!(table_panel_b(&cfg, &out).len(), out.rows.len());
     }

@@ -80,7 +80,7 @@ impl GapConfig {
             rotation_periods,
             pow_difficulties,
             queries,
-            seed: opts.seed,
+            seed: opts.common.seed,
         }
     }
 

@@ -1,6 +1,6 @@
-//! Minimal command-line options shared by all reproduction binaries.
+//! Command-line options shared by all reproduction binaries.
 
-use scp_sim::config::{AdmissionKind, CacheKind, PartitionerKind, SelectorKind};
+use scp_sim::cli::{CommonOpts, Flag};
 use scp_sim::runner::StopRule;
 use std::path::PathBuf;
 
@@ -15,28 +15,14 @@ pub struct Opts {
     pub out: PathBuf,
     /// Shrink the experiment for a quick smoke run.
     pub fast: bool,
-    /// Master seed.
-    pub seed: u64,
     /// Directory for per-run journals (None = don't write journals).
     pub journal: Option<PathBuf>,
     /// Target 95% CI half-width on the per-run gain; `> 0` enables
     /// adaptive early stopping of the repetition loop.
     pub ci_target: f64,
-    /// Front-end cache policy (experiments that sweep policies, like the
-    /// fig. 4 cache ablation, ignore this and sweep anyway).
-    pub cache: CacheKind,
-    /// Oracle-informed vs online-learned cache admission.
-    pub admission: AdmissionKind,
-    /// Proof-of-work difficulty in leading zero bits (0 = shield off);
-    /// consumed by the serving-path experiments.
-    pub pow_difficulty: u32,
-    /// Attacker key-set rotation period in queries (0 = static attack);
-    /// consumed by the admission-gap experiments.
-    pub attack_rotate: u64,
-    /// Partitioning scheme mapping keys to replica groups.
-    pub partitioner: PartitionerKind,
-    /// Replica selection rule within a group.
-    pub selector: SelectorKind,
+    /// Substrate kinds, seed and attacker/shield knobs. Experiments that
+    /// sweep one of these (like the fig. 4 cache ablation) ignore it.
+    pub common: CommonOpts,
 }
 
 impl Default for Opts {
@@ -46,62 +32,43 @@ impl Default for Opts {
             threads: 0,
             out: PathBuf::from("target/repro"),
             fast: false,
-            seed: 20130708, // ICDCS'13 workshop date
             journal: None,
             ci_target: 0.0,
-            cache: CacheKind::Perfect,
-            admission: AdmissionKind::Oracle,
-            pow_difficulty: 0,
-            attack_rotate: 0,
-            partitioner: PartitionerKind::Hash,
-            selector: SelectorKind::LeastLoaded,
+            common: CommonOpts::default(),
         }
     }
 }
 
 impl Opts {
-    /// Parses `--runs N --threads N --out DIR --fast --seed N
-    /// --journal DIR --ci-target X --cache KIND --admission KIND
-    /// --pow-difficulty D --attack-rotate P --partitioner KIND
-    /// --selector KIND` from an argument iterator (unknown flags abort
-    /// with a usage message).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut opts = Self::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--runs" => opts.runs = expect_parse(&mut it, "--runs"),
-                "--threads" => opts.threads = expect_parse(&mut it, "--threads"),
-                "--seed" => opts.seed = expect_parse(&mut it, "--seed"),
-                "--ci-target" => opts.ci_target = expect_parse(&mut it, "--ci-target"),
-                "--cache" => opts.cache = expect_kind(&mut it, "--cache"),
-                "--admission" => opts.admission = expect_kind(&mut it, "--admission"),
-                "--pow-difficulty" => {
-                    opts.pow_difficulty = expect_parse(&mut it, "--pow-difficulty")
-                }
-                "--attack-rotate" => opts.attack_rotate = expect_parse(&mut it, "--attack-rotate"),
-                "--partitioner" => opts.partitioner = expect_kind(&mut it, "--partitioner"),
-                "--selector" => opts.selector = expect_kind(&mut it, "--selector"),
-                "--out" => {
-                    opts.out =
-                        PathBuf::from(it.next().unwrap_or_else(|| usage("--out needs a dir")))
-                }
-                "--journal" => {
-                    opts.journal = Some(PathBuf::from(
-                        it.next().unwrap_or_else(|| usage("--journal needs a dir")),
-                    ))
-                }
-                "--fast" => opts.fast = true,
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag `{other}`")),
-            }
-        }
-        opts
-    }
-
-    /// Parses from the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// The flag table: these six plus [`CommonOpts::flags`].
+    pub fn flags() -> Vec<Flag<Self>> {
+        let mut flags = scp_sim::flags![o: Self;
+            ["--runs" "N" => o.runs, "repetitions per data point, 0 = per-experiment"]
+            ["--threads" "N" => o.threads, "worker threads, 0 = all cores"]
+            ["--fast" => o.fast, "shrunken smoke-test configuration"]
+            ["--ci-target" "X" => o.ci_target,
+                "stop a data point once its gain's 95% CI half-width is below X"]
+        ];
+        flags.push(Flag::new(
+            "--out",
+            "DIR",
+            "CSV output directory (default: target/repro)",
+            |o: &mut Self, v| {
+                o.out = PathBuf::from(v);
+                Ok(())
+            },
+        ));
+        flags.push(Flag::new(
+            "--journal",
+            "DIR",
+            "write per-run journals (JSON + CSV) under DIR",
+            |o: &mut Self, v| {
+                o.journal = Some(PathBuf::from(v));
+                Ok(())
+            },
+        ));
+        flags.extend(CommonOpts::flags(|o: &mut Self| &mut o.common));
+        flags
     }
 
     /// The repetition count to use: explicit `--runs`, else `--fast`'s
@@ -139,157 +106,126 @@ pub fn stop_rule(runs: usize, ci_target: f64) -> StopRule {
     }
 }
 
-fn expect_parse<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} needs a numeric value")))
-}
-
-/// Parses a kind-enum flag value, surfacing the enum's own error message
-/// (which lists the valid names) on a bad spelling.
-fn expect_kind<T>(it: &mut impl Iterator<Item = String>, flag: &str) -> T
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    let value = it
-        .next()
-        .unwrap_or_else(|| usage(&format!("{flag} needs a value")));
-    value
-        .parse()
-        .unwrap_or_else(|e| usage(&format!("{flag}: {e}")))
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
-        "usage: <bin> [--runs N] [--threads N] [--out DIR] [--seed N] [--fast]\n\
-         \x20            [--journal DIR] [--ci-target X] [--cache KIND]\n\
-         \x20            [--partitioner KIND] [--selector KIND]\n\
-         \n\
-         --runs N      repetitions per data point (default: per-experiment)\n\
-         --threads N   worker threads (default: all cores)\n\
-         --out DIR     CSV output directory (default: target/repro)\n\
-         --seed N      master seed (default: 20130708)\n\
-         --fast        shrunken smoke-test configuration\n\
-         --journal DIR write per-run journals (JSON + CSV) under DIR\n\
-         --ci-target X stop each data point early once the 95% CI\n\
-         \x20             half-width of the gain drops below X\n\
-         --cache KIND  front-end cache policy (default: perfect):\n\
-         \x20             {}\n\
-         --admission KIND    cache admission (default: oracle): {}\n\
-         --pow-difficulty D  proof-of-work leading zero bits (default: 0 = off)\n\
-         --attack-rotate P   attacker redraws its keys every P queries\n\
-         \x20             (default: 0 = static attack)\n\
-         --partitioner KIND  key partitioning (default: hash):\n\
-         \x20             {}\n\
-         --selector KIND     replica selection (default: least-loaded):\n\
-         \x20             {}",
-        CacheKind::ALL.map(|k| k.name()).join("|"),
-        AdmissionKind::ALL.map(|k| k.name()).join("|"),
-        PartitionerKind::ALL.map(|k| k.name()).join("|"),
-        SelectorKind::ALL.map(|k| k.name()).join("|"),
-    );
-    std::process::exit(2);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scp_sim::cli;
+    use scp_sim::config::{AdmissionKind, CacheKind, PartitionerKind, SelectorKind};
 
-    fn parse(args: &[&str]) -> Opts {
-        Opts::parse(args.iter().map(|s| s.to_string()))
+    fn parse(args: &[&str]) -> Result<Option<Opts>, String> {
+        cli::parse(&Opts::flags(), args.iter().map(|s| s.to_string()))
     }
 
+    fn parsed(args: &[&str]) -> Opts {
+        parse(args).unwrap().unwrap()
+    }
+
+    /// One non-default value per table flag (`None` for a switch).
+    const SAMPLES: [(&str, Option<&str>); 13] = [
+        ("--runs", Some("7")),
+        ("--threads", Some("2")),
+        ("--fast", None),
+        ("--ci-target", Some("0.05")),
+        ("--out", Some("/tmp/x")),
+        ("--journal", Some("/tmp/j")),
+        ("--cache", Some("tinylfu")),
+        ("--admission", Some("online")),
+        ("--partitioner", Some("ring")),
+        ("--selector", Some("round-robin")),
+        ("--seed", Some("9")),
+        ("--pow-difficulty", Some("8")),
+        ("--attack-rotate", Some("5000")),
+    ];
+
     #[test]
-    fn defaults() {
-        let o = parse(&[]);
+    fn defaults_are_unchanged() {
+        let o = parsed(&[]);
+        assert_eq!(o, Opts::default());
         assert_eq!(o.runs, 0);
         assert_eq!(o.threads, 0);
-        assert!(!o.fast);
         assert_eq!(o.out, PathBuf::from("target/repro"));
+        assert!(!o.fast);
         assert_eq!(o.journal, None);
         assert_eq!(o.ci_target, 0.0);
-        assert_eq!(o.cache, CacheKind::Perfect);
-        assert_eq!(o.admission, AdmissionKind::Oracle);
-        assert_eq!(o.pow_difficulty, 0);
-        assert_eq!(o.attack_rotate, 0);
-        assert_eq!(o.partitioner, PartitionerKind::Hash);
-        assert_eq!(o.selector, SelectorKind::LeastLoaded);
+        assert_eq!(o.common.seed, 20130708);
+        assert_eq!(o.common.cache, CacheKind::Perfect);
+        assert_eq!(o.common.admission, AdmissionKind::Oracle);
+        assert_eq!(o.common.pow_difficulty, 0);
+        assert_eq!(o.common.attack_rotate, 0);
+        assert_eq!(o.common.partitioner, PartitionerKind::Hash);
+        assert_eq!(o.common.selector, SelectorKind::LeastLoaded);
     }
 
     #[test]
-    fn parses_admission_and_shield_flags() {
-        let o = parse(&[
-            "--admission",
-            "online",
-            "--pow-difficulty",
-            "8",
-            "--attack-rotate",
-            "5000",
-        ]);
-        assert_eq!(o.admission, AdmissionKind::Online);
-        assert_eq!(o.pow_difficulty, 8);
-        assert_eq!(o.attack_rotate, 5000);
-        for kind in AdmissionKind::ALL {
-            assert_eq!(parse(&["--admission", kind.name()]).admission, kind);
+    fn every_table_flag_parses() {
+        let names: Vec<_> = Opts::flags().iter().map(|f| f.name()).collect();
+        assert_eq!(names, SAMPLES.map(|(flag, _)| flag));
+        for (flag, value) in SAMPLES {
+            let args: Vec<&str> = [flag].into_iter().chain(value).collect();
+            assert_ne!(parsed(&args), Opts::default(), "{flag} changed nothing");
         }
-    }
-
-    #[test]
-    fn parses_substrate_kinds_by_name() {
-        let o = parse(&[
-            "--cache",
-            "tinylfu",
-            "--partitioner",
-            "ring",
-            "--selector",
-            "round-robin",
-        ]);
-        assert_eq!(o.cache, CacheKind::TinyLfu);
-        assert_eq!(o.partitioner, PartitionerKind::Ring);
-        assert_eq!(o.selector, SelectorKind::RoundRobin);
+        let all: Vec<&str> = SAMPLES
+            .iter()
+            .flat_map(|&(flag, value)| [flag].into_iter().chain(value))
+            .collect();
+        let o = parsed(&all);
+        assert_eq!((o.runs, o.threads, o.fast), (7, 2, true));
+        assert_eq!(o.out, PathBuf::from("/tmp/x"));
+        assert_eq!(o.journal, Some(PathBuf::from("/tmp/j")));
+        assert_eq!(o.ci_target, 0.05);
+        assert_eq!(o.common.cache, CacheKind::TinyLfu);
+        assert_eq!(o.common.admission, AdmissionKind::Online);
+        assert_eq!(o.common.partitioner, PartitionerKind::Ring);
+        assert_eq!(o.common.selector, SelectorKind::RoundRobin);
+        assert_eq!(o.common.seed, 9);
+        assert_eq!(o.common.pow_difficulty, 8);
+        assert_eq!(o.common.attack_rotate, 5000);
     }
 
     #[test]
     fn every_kind_name_parses_through_the_flags() {
         for kind in CacheKind::ALL {
-            assert_eq!(parse(&["--cache", kind.name()]).cache, kind);
+            assert_eq!(parsed(&["--cache", kind.name()]).common.cache, kind);
+        }
+        for kind in AdmissionKind::ALL {
+            assert_eq!(parsed(&["--admission", kind.name()]).common.admission, kind);
         }
         for kind in PartitionerKind::ALL {
-            assert_eq!(parse(&["--partitioner", kind.name()]).partitioner, kind);
+            let o = parsed(&["--partitioner", kind.name()]);
+            assert_eq!(o.common.partitioner, kind);
         }
         for kind in SelectorKind::ALL {
-            assert_eq!(parse(&["--selector", kind.name()]).selector, kind);
+            assert_eq!(parsed(&["--selector", kind.name()]).common.selector, kind);
         }
     }
 
     #[test]
-    fn parses_all_flags() {
-        let o = parse(&[
-            "--runs",
-            "7",
-            "--threads",
-            "2",
-            "--out",
-            "/tmp/x",
-            "--fast",
-            "--seed",
-            "9",
-            "--journal",
-            "/tmp/j",
-            "--ci-target",
-            "0.05",
-        ]);
-        assert_eq!(o.runs, 7);
-        assert_eq!(o.threads, 2);
-        assert_eq!(o.out, PathBuf::from("/tmp/x"));
-        assert!(o.fast);
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.journal, Some(PathBuf::from("/tmp/j")));
-        assert_eq!(o.ci_target, 0.05);
+    fn bad_command_lines_are_errors_naming_the_flag() {
+        for (args, flag) in [
+            (&["--bogus"][..], "--bogus"),
+            (&["--fast", "--journal"], "--journal"),
+            (&["--runs", "many"], "--runs"),
+            (&["--ci-target", "tight"], "--ci-target"),
+            (&["--pow-difficulty", "-1"], "--pow-difficulty"),
+            (&["--cache", "magic"], "--cache"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
+        let err = parse(&["--partitioner", "quantum"]).unwrap_err();
+        for kind in PartitionerKind::ALL {
+            assert!(err.contains(kind.name()), "lists valid names: {err}");
+        }
+    }
+
+    #[test]
+    fn help_is_a_result_not_an_exit() {
+        assert_eq!(parse(&["--help"]), Ok(None));
+        assert_eq!(parse(&["--fast", "-h"]), Ok(None));
+        let text = cli::help("fig3a", &Opts::flags());
+        for (flag, _) in SAMPLES {
+            assert!(text.contains(flag), "help lacks {flag}:\n{text}");
+        }
     }
 
     #[test]

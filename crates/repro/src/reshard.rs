@@ -62,7 +62,7 @@ impl ReshardConfig {
             items: if fast { 50_000 } else { 100_000 },
             runs: opts.effective_runs(50),
             threads: opts.threads,
-            seed: opts.seed,
+            seed: opts.common.seed,
         }
     }
 }
@@ -263,7 +263,7 @@ pub fn run_drift(cfg: &ReshardConfig, partitioner: PartitionerKind) -> Result<Ve
 }
 
 /// Runs the whole study (disruption for every scheme, drift under
-/// `opts.partitioner`).
+/// `opts.common.partitioner`).
 ///
 /// # Errors
 ///

@@ -58,6 +58,7 @@
 
 pub mod backoff;
 pub mod batch_ring;
+pub mod cli;
 pub mod clock;
 pub mod config;
 pub mod engine;
@@ -65,10 +66,13 @@ pub mod loadgen;
 pub mod pad;
 pub mod pow;
 pub mod report;
+pub mod smoke;
 pub mod spsc;
 
+pub use cli::ServeOpts;
 pub use config::{MembershipChange, MembershipEvent, Result, ServeConfig, ServeError};
 pub use engine::{run_deterministic, LaneStats, Request, TokenBucket};
 pub use loadgen::run_threaded;
 pub use pow::{PowShield, PowVerdict, PowVerifier};
 pub use report::{repeat_serve_journaled, DepthStats, JournaledServe, ServeReport, ShardReport};
+pub use smoke::{smoke_gates, Gate};

@@ -5,264 +5,19 @@
 //! * default — one threaded run, printing a human summary (or `--json`);
 //! * `--deterministic` — bit-reproducible single-threaded run(s); with
 //!   `--runs N` the batch journals exactly like a simulation batch;
-//! * `--smoke` — the CI acceptance gates: sustained throughput on 8
-//!   shards, shedding (not stalling) under the `x = c + 1` attack, and
-//!   deterministic-mode gain agreeing with the rate engine.
+//! * `--smoke` — the CI acceptance gates of [`scp_serve::smoke`].
+//!
+//! The flags live in [`scp_serve::cli`]; `--help` lists them.
 
 use scp_serve::{
-    repeat_serve_journaled, run_deterministic, run_threaded, MembershipEvent, PowShield,
-    ServeConfig,
+    repeat_serve_journaled, run_deterministic, run_threaded, smoke_gates, ServeConfig, ServeOpts,
+    ServeReport,
 };
-use scp_sim::config::{AdmissionKind, CacheKind, PartitionerKind, SelectorKind};
-use scp_sim::rate_engine::run_rate_simulation;
+use scp_sim::cli;
 use scp_sim::runner::StopRule;
-use scp_sim::SimConfig;
-use scp_workload::AccessPattern;
+use std::process::ExitCode;
 
-#[derive(Debug, Clone)]
-struct ServeOpts {
-    shards: usize,
-    replication: usize,
-    cache: CacheKind,
-    admission: AdmissionKind,
-    cache_capacity: usize,
-    items: u64,
-    rate: f64,
-    attack_x: u64,
-    attack_rotate: u64,
-    attack_clients: usize,
-    pow_difficulty: u32,
-    partitioner: PartitionerKind,
-    selector: SelectorKind,
-    seed: u64,
-    clients: usize,
-    window: usize,
-    submit_batch: usize,
-    intake_depth: usize,
-    batch: usize,
-    queue_capacity: usize,
-    headroom: f64,
-    queries: u64,
-    duration_ms: u64,
-    membership: Vec<MembershipEvent>,
-    runs: usize,
-    threads: usize,
-    deterministic: bool,
-    json: bool,
-    smoke: bool,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        Self {
-            shards: 8,
-            replication: 3,
-            cache: CacheKind::Perfect,
-            admission: AdmissionKind::Oracle,
-            cache_capacity: 100,
-            items: 1_000_000,
-            rate: 1e5,
-            attack_x: 0,
-            attack_rotate: 0,
-            attack_clients: 0,
-            pow_difficulty: 0,
-            partitioner: PartitionerKind::Hash,
-            selector: SelectorKind::LeastLoaded,
-            seed: 20130708,
-            clients: 4,
-            window: 1024,
-            submit_batch: 64,
-            intake_depth: 16,
-            batch: 64,
-            queue_capacity: 64,
-            headroom: 0.0,
-            queries: 500_000,
-            duration_ms: 0,
-            membership: Vec::new(),
-            runs: 1,
-            threads: 0,
-            deterministic: false,
-            json: false,
-            smoke: false,
-        }
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
-        "usage: scp-serve [flags]\n\
-         \n\
-         system shape (mirrors the simulators):\n\
-         --shards N          backend shards = nodes n (default 8)\n\
-         --replication D     replica group size d (default 3)\n\
-         --cache KIND        {cache}\n\
-         --admission KIND    {adm} (online swaps perfect for tinylfu)\n\
-         --cache-capacity C  front-end cache entries (default 100)\n\
-         --items N           key-space size (default 1000000)\n\
-         --rate R            offered logical rate, queries/s (default 1e5)\n\
-         --attack-x X        attack over X keys (default 0 = c + 1)\n\
-         --attack-rotate P   attacker redraws its X keys every P queries\n\
-         --attack-clients K  first K client ids skip proof-of-work\n\
-         --pow-difficulty D  require D leading zero bits of work (default 0 = off)\n\
-         --partitioner KIND  {part}\n\
-         --selector KIND     {sel}\n\
-         --seed N            master seed (default 20130708)\n\
-         \n\
-         live path:\n\
-         --clients K         closed-loop client threads (default 4)\n\
-         --window W          per-client outstanding window (default 1024)\n\
-         --submit-batch B    keys per client submission (default 64)\n\
-         --intake-depth D    per-client intake ring depth, in batches (default 16)\n\
-         --batch B           admission batch size (default 64)\n\
-         --queue-capacity Q  shard queue depth, in batches (default 64)\n\
-         --headroom H        shard capacity r_i = H*R/n (default 0 = off)\n\
-         --queries N         stop after N queries (default 500000)\n\
-         --duration-ms MS    stop after MS wall-clock ms (default off)\n\
-         --membership SPEC   schedule a topology change at a logical tick,\n\
-                             SPEC = AT:ACTION:ID with ACTION one of\n\
-                             join|leave|crash|recover (repeatable, e.g.\n\
-                             --membership 100000:join:8)\n\
-         \n\
-         modes:\n\
-         --deterministic     single-threaded reproducible mode\n\
-         --runs N            deterministic repetitions, journaled (default 1)\n\
-         --threads N         worker threads for --runs (default all cores)\n\
-         --json              print the full JSON report\n\
-         --smoke             run the CI acceptance gates and exit",
-        cache = kind_list(CacheKind::ALL.iter().map(|k| k.name())),
-        adm = kind_list(AdmissionKind::ALL.iter().map(|k| k.name())),
-        part = kind_list(PartitionerKind::ALL.iter().map(|k| k.name())),
-        sel = kind_list(SelectorKind::ALL.iter().map(|k| k.name())),
-    );
-    std::process::exit(2);
-}
-
-fn kind_list<'a>(names: impl Iterator<Item = &'a str>) -> String {
-    names.collect::<Vec<_>>().join("|")
-}
-
-fn expect_parse<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} needs a valid value")))
-}
-
-/// Parses a kind flag through the enum's `FromStr`, reporting the
-/// parse error (which lists the valid names) on failure.
-fn expect_kind<T>(it: &mut impl Iterator<Item = String>, flag: &str) -> T
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    let Some(raw) = it.next() else {
-        usage(&format!("{flag} needs a value"));
-    };
-    match raw.parse() {
-        Ok(kind) => kind,
-        Err(e) => usage(&format!("{flag}: {e}")),
-    }
-}
-
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> ServeOpts {
-    let mut o = ServeOpts::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--shards" => o.shards = expect_parse(&mut it, "--shards"),
-            "--replication" => o.replication = expect_parse(&mut it, "--replication"),
-            "--cache" => o.cache = expect_kind(&mut it, "--cache"),
-            "--admission" => o.admission = expect_kind(&mut it, "--admission"),
-            "--cache-capacity" => o.cache_capacity = expect_parse(&mut it, "--cache-capacity"),
-            "--items" => o.items = expect_parse(&mut it, "--items"),
-            "--rate" => o.rate = expect_parse(&mut it, "--rate"),
-            "--attack-x" => o.attack_x = expect_parse(&mut it, "--attack-x"),
-            "--attack-rotate" => o.attack_rotate = expect_parse(&mut it, "--attack-rotate"),
-            "--attack-clients" => o.attack_clients = expect_parse(&mut it, "--attack-clients"),
-            "--pow-difficulty" => o.pow_difficulty = expect_parse(&mut it, "--pow-difficulty"),
-            "--partitioner" => o.partitioner = expect_kind(&mut it, "--partitioner"),
-            "--selector" => o.selector = expect_kind(&mut it, "--selector"),
-            "--seed" => o.seed = expect_parse(&mut it, "--seed"),
-            "--clients" => o.clients = expect_parse(&mut it, "--clients"),
-            "--window" => o.window = expect_parse(&mut it, "--window"),
-            "--submit-batch" => o.submit_batch = expect_parse(&mut it, "--submit-batch"),
-            "--intake-depth" => o.intake_depth = expect_parse(&mut it, "--intake-depth"),
-            "--batch" => o.batch = expect_parse(&mut it, "--batch"),
-            "--queue-capacity" => o.queue_capacity = expect_parse(&mut it, "--queue-capacity"),
-            "--headroom" => o.headroom = expect_parse(&mut it, "--headroom"),
-            "--queries" => o.queries = expect_parse(&mut it, "--queries"),
-            "--duration-ms" => o.duration_ms = expect_parse(&mut it, "--duration-ms"),
-            "--membership" => o.membership.push(expect_kind(&mut it, "--membership")),
-            "--runs" => o.runs = expect_parse(&mut it, "--runs"),
-            "--threads" => o.threads = expect_parse(&mut it, "--threads"),
-            "--deterministic" => o.deterministic = true,
-            "--json" => o.json = true,
-            "--smoke" => o.smoke = true,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
-        }
-    }
-    o
-}
-
-fn build_config(o: &ServeOpts) -> ServeConfig {
-    let mut builder = SimConfig::builder()
-        .nodes(o.shards)
-        .replication(o.replication)
-        .cache_kind(o.cache)
-        .admission(o.admission)
-        .cache_capacity(o.cache_capacity)
-        .items(o.items)
-        .rate(o.rate)
-        .partitioner(o.partitioner)
-        .selector(o.selector)
-        .seed(o.seed);
-    if o.attack_rotate > 0 {
-        // Rotating attack: the same x keys as --attack-x (or the default
-        // x = c + 1), but redrawn every P queries.
-        let x = if o.attack_x > 0 {
-            o.attack_x
-        } else {
-            o.cache_capacity as u64 + 1
-        };
-        match AccessPattern::rotating_subset(x, o.items, o.attack_rotate) {
-            Ok(pattern) => builder = builder.pattern(pattern),
-            Err(e) => {
-                eprintln!("error: --attack-rotate: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else if o.attack_x > 0 {
-        builder = builder.attack_x(o.attack_x);
-    }
-    let sim = match builder.build() {
-        Ok(sim) => sim,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut cfg = ServeConfig::new(sim);
-    cfg.clients = o.clients;
-    cfg.client_window = o.window;
-    cfg.submit_batch = o.submit_batch;
-    cfg.intake_depth = o.intake_depth;
-    cfg.batch_size = o.batch;
-    cfg.queue_capacity = o.queue_capacity;
-    cfg.capacity_headroom = o.headroom;
-    cfg.total_queries = o.queries;
-    cfg.duration_ms = o.duration_ms;
-    cfg.attack_clients = o.attack_clients;
-    cfg.membership = o.membership.clone();
-    if o.pow_difficulty > 0 {
-        cfg.pow = Some(PowShield::new(o.pow_difficulty));
-    }
-    cfg
-}
-
-fn print_summary(report: &scp_serve::ServeReport) {
+fn print_summary(report: &ServeReport) {
     println!(
         "mode={} shards={} submitted={} hits={} processed={} shed={} (capacity={} backpressure={}) unserved={}",
         if report.deterministic { "deterministic" } else { "threaded" },
@@ -317,288 +72,65 @@ fn print_summary(report: &scp_serve::ServeReport) {
     }
 }
 
-fn emit(report: &scp_serve::ServeReport, json: bool) {
-    if json {
-        println!("{}", report.to_json().to_pretty_string());
-    } else {
-        print_summary(report);
-    }
-}
-
-/// One PASS/FAIL gate line; returns whether it passed.
-fn gate(name: &str, pass: bool, detail: &str) -> bool {
-    println!("{} {name}: {detail}", if pass { "PASS" } else { "FAIL" });
-    pass
-}
-
-/// The CI acceptance gates (see ISSUE/EXPERIMENTS): throughput,
-/// shed-under-attack, and deterministic-vs-rate-engine agreement.
-fn run_smoke(o: &ServeOpts) -> ! {
-    let mut ok = true;
-
-    // Gate 1: ≥ 1M queries/minute sustained on 8 shards.
-    let throughput = ServeOpts {
-        queries: 500_000,
-        seed: o.seed,
-        ..ServeOpts::default()
+fn main() -> ExitCode {
+    let opts = match cli::from_env(&ServeOpts::flags()) {
+        Ok(opts) => opts,
+        Err(code) => return code,
     };
-    let cfg = build_config(&throughput);
-    match run_threaded(&cfg) {
-        Ok(report) => {
-            let qpm = report.throughput_qpm();
-            ok &= gate(
-                "throughput",
-                qpm >= 1_000_000.0 && report.is_conserved() && report.is_drained(),
-                &format!(
-                    "{qpm:.0} q/min over 8 shards (conserved={}, drained={})",
-                    report.is_conserved(),
-                    report.is_drained()
-                ),
-            );
-        }
-        Err(e) => ok = gate("throughput", false, &format!("error: {e}")),
-    }
-
-    // Gate 2: the x = c + 1 attack with c < c* sheds rather than stalls:
-    // hot replicas exceed r_i, excess is refused, everything else drains.
-    let mut attack = ServeOpts {
-        shards: 50,
-        cache_capacity: 10,
-        attack_x: 11,
-        items: 100_000,
-        headroom: 1.2,
-        queries: 200_000,
-        seed: o.seed,
-        ..ServeOpts::default()
-    };
-    attack.deterministic = true;
-    let cfg = build_config(&attack);
-    match run_deterministic(&cfg) {
-        Ok(report) => {
-            ok &= gate(
-                "shed-under-attack",
-                report.shed_capacity() > 0 && report.is_conserved() && report.is_drained(),
-                &format!(
-                    "shed {} of {} (conserved={}, drained={})",
-                    report.shed_capacity(),
-                    report.submitted,
-                    report.is_conserved(),
-                    report.is_drained()
-                ),
-            );
-        }
-        Err(e) => ok = gate("shed-under-attack", false, &format!("error: {e}")),
-    }
-
-    // Gate 3: deterministic-mode gain within 5% of the rate engine on
-    // the paper baseline (n=1000, d=3, c=200, x=c+1).
-    let baseline = ServeOpts {
-        shards: 1000,
-        cache_capacity: 200,
-        attack_x: 201,
-        queries: 1_000_000,
-        seed: o.seed,
-        ..ServeOpts::default()
-    };
-    let cfg = build_config(&baseline);
-    let exact = match run_rate_simulation(&cfg.sim) {
-        Ok(r) => r.gain().value(),
-        Err(e) => {
-            ok = gate("gain-vs-rate-engine", false, &format!("rate engine: {e}"));
-            f64::NAN
-        }
-    };
-    if exact.is_finite() {
-        match run_deterministic(&cfg) {
-            Ok(report) => {
-                let measured = report.gain();
-                let rel = if exact > 0.0 {
-                    (measured - exact).abs() / exact
-                } else {
-                    f64::INFINITY
-                };
-                ok &= gate(
-                    "gain-vs-rate-engine",
-                    rel <= 0.05,
-                    &format!("serve {measured:.4} vs rate {exact:.4} (rel {rel:.4})"),
-                );
-            }
-            Err(e) => ok = gate("gain-vs-rate-engine", false, &format!("error: {e}")),
-        }
-    }
-
-    // Gate 4: the PoW shield is transparent to solvers and a wall to
-    // workless attackers on the same c < c* configuration.
-    let mut pow = ServeOpts {
-        shards: 50,
-        cache_capacity: 10,
-        attack_x: 11,
-        items: 100_000,
-        queries: 50_000,
-        pow_difficulty: 4,
-        seed: o.seed,
-        ..ServeOpts::default()
-    };
-    pow.deterministic = true;
-    let honest = run_deterministic(&build_config(&pow));
-    pow.attack_clients = 1;
-    let workless = run_deterministic(&build_config(&pow));
-    match (honest, workless) {
-        (Ok(h), Ok(w)) => {
-            ok &= gate(
-                "pow-shield",
-                h.pow_rejected == 0
-                    && h.cache_hits > 0
-                    && w.pow_rejected == w.submitted
-                    && h.is_conserved()
-                    && w.is_conserved(),
-                &format!(
-                    "solver rejected {}/{} with {} hits; workless rejected {}/{}",
-                    h.pow_rejected, h.submitted, h.cache_hits, w.pow_rejected, w.submitted
-                ),
-            );
-        }
-        (h, w) => {
-            let e = h
-                .err()
-                .or(w.err())
-                .map(|e| e.to_string())
-                .unwrap_or_default();
-            ok = gate("pow-shield", false, &format!("error: {e}"));
-        }
-    }
-
-    // Gate 5: online admission learns a static attack but loses ground
-    // when the attacker rotates faster than the sketch adapts.
-    let mut online = ServeOpts {
-        shards: 50,
-        cache_capacity: 100,
-        attack_x: 500,
-        items: 100_000,
-        queries: 300_000,
-        admission: AdmissionKind::Online,
-        seed: o.seed,
-        ..ServeOpts::default()
-    };
-    online.deterministic = true;
-    let static_run = run_deterministic(&build_config(&online));
-    online.attack_rotate = 500;
-    let rotating_run = run_deterministic(&build_config(&online));
-    match (static_run, rotating_run) {
-        (Ok(s), Ok(r)) => {
-            let s_hits = s.cache_hits as f64 / s.submitted.max(1) as f64;
-            let r_hits = r.cache_hits as f64 / r.submitted.max(1) as f64;
-            ok &= gate(
-                "online-admission-gap",
-                s.sketch_resets > 0 && s_hits > r_hits && s.is_conserved() && r.is_conserved(),
-                &format!(
-                    "static hit ratio {s_hits:.4} vs rotating {r_hits:.4} \
-                     ({} sketch resets)",
-                    s.sketch_resets
-                ),
-            );
-        }
-        (s, r) => {
-            let e = s
-                .err()
-                .or(r.err())
-                .map(|e| e.to_string())
-                .unwrap_or_default();
-            ok = gate("online-admission-gap", false, &format!("error: {e}"));
-        }
-    }
-
-    // Gate 6: a mid-traffic reshard — one join, then one leave — keeps
-    // exact conservation (migrated is its own completion class), drains
-    // cleanly, and the joiner actually serves traffic after its epoch.
-    let mut reshard = ServeOpts {
-        shards: 16,
-        cache_capacity: 50,
-        items: 100_000,
-        queries: 120_000,
-        // x ≫ c so cache misses spread over every shard: the joiner must
-        // see traffic, and a leave must displace buffered requests.
-        attack_x: 20_000,
-        headroom: 2.0,
-        seed: o.seed,
-        ..ServeOpts::default()
-    };
-    reshard.partitioner = PartitionerKind::MultiProbe;
-    reshard.deterministic = true;
-    reshard.membership = vec![
-        "40000:join:16"
-            .parse()
-            .unwrap_or_else(|e: String| usage(&e)),
-        "80000:leave:3"
-            .parse()
-            .unwrap_or_else(|e: String| usage(&e)),
-    ];
-    let cfg = build_config(&reshard);
-    match run_deterministic(&cfg) {
-        Ok(report) => {
-            let joiner_served = report.shards.get(16).map_or(0, |s| s.processed);
-            ok &= gate(
-                "live-reshard",
-                report.reshards == 2
-                    && report.is_conserved()
-                    && report.is_drained()
-                    && joiner_served > 0,
-                &format!(
-                    "2 epochs applied={} migrated={} joiner_processed={joiner_served} \
-                     (conserved={}, drained={})",
-                    report.reshards,
-                    report.migrated,
-                    report.is_conserved(),
-                    report.is_drained()
-                ),
-            );
-        }
-        Err(e) => ok = gate("live-reshard", false, &format!("error: {e}")),
-    }
-
-    std::process::exit(if ok { 0 } else { 1 });
-}
-
-fn main() {
-    let opts = parse_opts(std::env::args().skip(1));
     if opts.smoke {
-        run_smoke(&opts);
-    }
-    let cfg = build_config(&opts);
-    if opts.deterministic && opts.runs > 1 {
-        match repeat_serve_journaled(&cfg, &StopRule::fixed(opts.runs), opts.threads) {
-            Ok(out) => {
-                if opts.json {
-                    println!("{}", out.journal.to_json().to_pretty_string());
-                } else {
-                    for report in &out.reports {
-                        print_summary(report);
-                    }
-                    println!(
-                        "runs={} mean_gain={:.4} max_gain={:.4}",
-                        out.reports.len(),
-                        out.aggregate.mean_gain(),
-                        out.aggregate.max_gain()
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+        let gates = smoke_gates(opts.common.seed);
+        for gate in &gates {
+            let verdict = if gate.pass { "PASS" } else { "FAIL" };
+            println!("{verdict} {}: {}", gate.name, gate.detail);
         }
-        return;
+        return if gates.iter().all(|g| g.pass) {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
     }
-    let result = if opts.deterministic {
-        run_deterministic(&cfg)
-    } else {
-        run_threaded(&cfg)
-    };
-    match result {
-        Ok(report) => emit(&report, opts.json),
+    let cfg = match opts.config() {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(1);
+            return ExitCode::from(2);
         }
+    };
+    if let Err(e) = serve(&opts, &cfg) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
+}
+
+/// One run, or a journaled batch of `--runs` deterministic runs.
+fn serve(opts: &ServeOpts, cfg: &ServeConfig) -> scp_serve::Result<()> {
+    if opts.deterministic && opts.runs > 1 {
+        let out = repeat_serve_journaled(cfg, &StopRule::fixed(opts.runs), opts.threads)?;
+        if opts.json {
+            println!("{}", out.journal.to_json().to_pretty_string());
+            return Ok(());
+        }
+        for report in &out.reports {
+            print_summary(report);
+        }
+        println!(
+            "runs={} mean_gain={:.4} max_gain={:.4}",
+            out.reports.len(),
+            out.aggregate.mean_gain(),
+            out.aggregate.max_gain()
+        );
+        return Ok(());
+    }
+    let report = if opts.deterministic {
+        run_deterministic(cfg)?
+    } else {
+        run_threaded(cfg)?
+    };
+    if opts.json {
+        println!("{}", report.to_json().to_pretty_string());
+    } else {
+        print_summary(&report);
+    }
+    Ok(())
 }

@@ -52,6 +52,9 @@ macro_rules! kind_text {
 // here so `scp_sim::config::PartitionerKind` call sites keep compiling.
 pub use scp_cluster::partition::PartitionerKind;
 
+/// The repro suite's master seed: the ICDCS'13 workshop date.
+pub const DEFAULT_SEED: u64 = 20130708;
+
 /// Which rule picks the serving replica within a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectorKind {
@@ -270,7 +273,7 @@ impl Default for SimConfigBuilder {
             pattern: PatternSpec::AttackHead,
             partitioner: PartitionerKind::Hash,
             selector: SelectorKind::LeastLoaded,
-            seed: 20130708, // ICDCS'13 workshop date, the repro master seed
+            seed: DEFAULT_SEED,
         }
     }
 }

@@ -19,7 +19,8 @@
 //! parallel with deterministic per-run seeds and CI-driven adaptive
 //! stopping; [`journal`] records one structured observability record per
 //! repetition; [`critical`] locates empirical critical cache sizes by
-//! bisection over per-run sweeps; [`stats`] aggregates.
+//! bisection over per-run sweeps; [`stats`] aggregates; [`cli`] is the
+//! flag-table command-line layer the workspace binaries share.
 //!
 //! # Example
 //!
@@ -48,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod assignments;
+pub mod cli;
 pub mod config;
 pub mod cost;
 pub mod critical;
